@@ -3,8 +3,8 @@
 The paper's ecosystem is built on XML documents (WSDL, XSD, SOAP).  No
 third-party XML library is assumed: this package provides an element tree
 model (:mod:`repro.xmlcore.model`), a namespace-aware serializer
-(:mod:`repro.xmlcore.writer`) and a from-scratch recursive-descent parser
-(:mod:`repro.xmlcore.parser`).
+(:mod:`repro.xmlcore.writer`) and a single-pass, regex-driven parser
+with an explicit element stack (:mod:`repro.xmlcore.parser`).
 
 Quick use::
 

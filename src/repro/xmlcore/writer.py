@@ -9,26 +9,31 @@ generated.
 
 from __future__ import annotations
 
+import re
+
 from repro.xmlcore.errors import XmlWriteError
 from repro.xmlcore.model import Document, Element
 from repro.xmlcore.names import XML_NS
 
-_TEXT_ESCAPES = {"&": "&amp;", "<": "&lt;", ">": "&gt;"}
-_ATTR_ESCAPES = {"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;"}
+_TEXT_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
+_ATTR_ESCAPES = str.maketrans(
+    {"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;"}
+)
+_NAME_FORBIDDEN = re.compile("[ <>&\"']")
 
 
 def escape_text(value):
     """Escape character data for element content."""
-    return "".join(_TEXT_ESCAPES.get(ch, ch) for ch in value)
+    return value.translate(_TEXT_ESCAPES)
 
 
 def escape_attribute(value):
     """Escape character data for a double-quoted attribute value."""
-    return "".join(_ATTR_ESCAPES.get(ch, ch) for ch in value)
+    return value.translate(_ATTR_ESCAPES)
 
 
 def _validate_name(local):
-    if not local or local[0].isdigit() or any(ch in local for ch in " <>&\"'"):
+    if not local or local[0].isdigit() or _NAME_FORBIDDEN.search(local):
         raise XmlWriteError(f"invalid XML name: {local!r}")
 
 

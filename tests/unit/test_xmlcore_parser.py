@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.xmlcore import QName, XmlParseError, parse, parse_document
+from repro.xmlcore import (
+    QName,
+    XmlLimitError,
+    XmlLimits,
+    XmlParseError,
+    parse,
+    parse_document,
+)
 
 
 class TestBasics:
@@ -150,3 +157,55 @@ class TestWellFormedness:
 
     def test_trailing_comment_allowed(self):
         assert parse("<a/><!-- bye -->").name.local == "a"
+
+
+def _nested(depth):
+    return "<a>" * depth + "</a>" * depth
+
+
+def _parse_error(text, limits=None):
+    with pytest.raises(XmlParseError) as excinfo:
+        parse(text, limits=limits)
+    return excinfo.value
+
+
+class TestLimitOrdering:
+    """Budget-vs-well-formedness ordering that fuzz triage depends on."""
+
+    def test_default_depth_boundary(self):
+        assert parse(_nested(160)).name.local == "a"
+        with pytest.raises(XmlLimitError) as excinfo:
+            parse(_nested(161))
+        assert excinfo.value.message == "element nesting deeper than 160"
+        assert excinfo.value.limit == "max_depth"
+        assert excinfo.value.position == 3 * 160
+
+    def test_text_run_of_exactly_max_length_accepted(self):
+        limit = XmlLimits().max_text_length
+        assert len(parse("<a>" + "x" * limit + "</a>").text) == limit
+        with pytest.raises(XmlLimitError) as excinfo:
+            parse("<a>" + "x" * (limit + 1) + "</a>")
+        assert excinfo.value.limit == "max_text_length"
+
+    def test_attribute_length_checked_before_lt(self):
+        limits = XmlLimits(max_text_length=8)
+        with pytest.raises(XmlLimitError) as excinfo:
+            parse('<a x="0123<5678"/>', limits=limits)
+        assert excinfo.value.message == "attribute value longer than 8"
+        assert type(_parse_error('<a x="0123<567"/>', limits)) is XmlParseError
+
+    def test_unknown_entity_before_reference_budget_is_parse_error(self):
+        text = "<a>" + "&amp;" * 9_999 + "&nbsp;" + "&amp;" * 5 + "</a>"
+        error = _parse_error(text)
+        assert type(error) is XmlParseError
+        assert error.message == "unknown entity &nbsp;"
+
+    def test_reference_past_budget_is_limit_error(self):
+        assert parse("<a>" + "&amp;" * 10_000 + "</a>").text == "&" * 10_000
+        error = _parse_error("<a>" + "&amp;" * 10_001 + "</a>")
+        assert type(error) is XmlLimitError
+        assert error.limit == "max_entity_references"
+
+    def test_duplicate_default_namespace_declaration_accepted(self):
+        root = parse('<a xmlns="urn:one" xmlns="urn:two"/>')
+        assert root.name == QName("urn:two", "a")
