@@ -1,31 +1,32 @@
 """Deterministic sharding of campaign sweeps into isolated work units.
 
 The four sweeps — the plain assessment campaign, the resilience sweep,
-the corruption fuzz and the invocation sweep — are embarrassingly
-parallel, but a parallel
-run is only useful if it is *indistinguishable* from the serial one.
-This module owns both halves of that contract:
+the corruption fuzz and the invocation sweep — run through one
+execution path (:func:`repro.runtime.pool.execute`): a sweep is an
+ordered list of :class:`ShardUnit` work units, and its result is every
+unit's slice folded in **canonical shard order**.  Serial execution
+runs those units in-process; ``--workers N`` hands the same units to
+the supervised pool.  Either way the same fold builds the result, so
+serial ≡ parallel holds by construction:
 
-* **Planning.**  A sweep is split into an ordered list of
-  :class:`ShardUnit` work units, one ``(server, service-chunk)`` pair at
-  a time.  The split depends only on the campaign configuration and the
-  chunk count — never on how many workers execute it — so the same
-  configuration always yields the same units with the same keys, and a
-  checkpoint written by a 2-worker run resumes exactly under 8 workers.
+* **Planning.**  One unit is one ``(server, service-chunk)`` pair.  The
+  split depends only on the campaign configuration and the chunk count
+  — never on how many workers execute it — so the same configuration
+  always yields the same units with the same keys, and a checkpoint
+  written by a serial run resumes exactly under 8 workers.
 
-* **Merging.**  Unit payloads (JSON-compatible, the same objects the
-  per-server checkpoints already use) are folded back into a campaign
-  result **in canonical shard order**, regardless of the order in which
-  workers completed them.  The merged result is byte-identical to the
-  serial path for any worker count.
+* **Folding.**  Each campaign kind is a :class:`ShardedCampaign`: it
+  executes a unit into an in-memory *slice*, folds a slice into its
+  result, and encodes slices as JSON only where they cross the
+  checkpoint store or a process boundary.
 
-The chunked execution itself lives on the campaign classes
-(``run_shard_unit``); the supervised process pool that schedules units
-is :mod:`repro.runtime.pool`.
+The supervised process pool that schedules units is
+:mod:`repro.runtime.pool`.
 """
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass
 
 #: Campaign kinds a :class:`ShardJob` can describe.
@@ -33,6 +34,14 @@ CAMPAIGN_RUN = "run"
 CAMPAIGN_RESILIENCE = "resilience"
 CAMPAIGN_FUZZ = "fuzz"
 CAMPAIGN_INVOKE = "invoke"
+
+#: The campaign class of each kind, imported on first use.
+_CAMPAIGN_CLASSES = {
+    CAMPAIGN_RUN: ("repro.core.campaign", "Campaign"),
+    CAMPAIGN_RESILIENCE: ("repro.faults.campaign", "ResilienceCampaign"),
+    CAMPAIGN_FUZZ: ("repro.faults.campaign", "FuzzCampaign"),
+    CAMPAIGN_INVOKE: ("repro.invoke.campaign", "InvocationCampaign"),
+}
 
 #: Default service-chunk count per server for the plain campaign.  Part
 #: of the checkpoint fingerprint: changing it re-shards the sweep.
@@ -85,14 +94,20 @@ def chunk_bounds(total, chunk_count):
     return bounds
 
 
+def build_campaign(kind, config):
+    """Instantiate the campaign class of ``kind`` for ``config``."""
+    module, name = _CAMPAIGN_CLASSES[kind]
+    return getattr(importlib.import_module(module), name)(config)
+
+
 @dataclass(frozen=True)
 class ShardJob:
     """A campaign configuration plus its worker-count-independent split.
 
-    Carries everything a worker process needs to execute any unit of
-    the sweep (``build`` + ``run_unit``) and everything the supervisor
-    needs to plan (``units``), guard checkpoints (``fingerprint``) and
-    reassemble the result (``merge``).
+    The picklable description a pool worker rebuilds its campaign from
+    (``build``), and what :func:`repro.runtime.pool.execute` plans
+    (``units``), guards checkpoints with (``fingerprint``) and
+    reassembles stored payloads through (``merge``).
     """
 
     campaign: str
@@ -100,50 +115,26 @@ class ShardJob:
     chunks_per_server: int = 1
 
     def __post_init__(self):
-        if self.campaign not in (
-            CAMPAIGN_RUN, CAMPAIGN_RESILIENCE, CAMPAIGN_FUZZ, CAMPAIGN_INVOKE
-        ):
+        if self.campaign not in _CAMPAIGN_CLASSES:
             raise ValueError(f"unknown campaign kind {self.campaign!r}")
         if self.chunks_per_server < 1:
             raise ValueError(
                 f"chunks_per_server must be >= 1, got {self.chunks_per_server}"
             )
 
-    @property
-    def server_ids(self):
-        if self.campaign == CAMPAIGN_RUN:
-            return tuple(self.config.server_ids)
-        return tuple(self.config.base.server_ids)
-
     def units(self):
         """The canonical, worker-count-independent unit list."""
-        units = []
-        for server_id in self.server_ids:
-            for index in range(self.chunks_per_server):
-                units.append(
-                    ShardUnit(
-                        self.campaign, server_id, index, self.chunks_per_server
-                    )
-                )
-        return units
+        # The run kind's config *is* the base; the others wrap one.
+        base = getattr(self.config, "base", self.config)
+        return [
+            ShardUnit(self.campaign, server_id, index, self.chunks_per_server)
+            for server_id in base.server_ids
+            for index in range(self.chunks_per_server)
+        ]
 
     def build(self):
         """Instantiate the executable campaign for this job."""
-        if self.campaign == CAMPAIGN_RUN:
-            from repro.core.campaign import Campaign
-
-            return Campaign(self.config)
-        if self.campaign == CAMPAIGN_RESILIENCE:
-            from repro.faults.campaign import ResilienceCampaign
-
-            return ResilienceCampaign(self.config)
-        if self.campaign == CAMPAIGN_INVOKE:
-            from repro.invoke.campaign import InvocationCampaign
-
-            return InvocationCampaign(self.config)
-        from repro.faults.campaign import FuzzCampaign
-
-        return FuzzCampaign(self.config)
+        return build_campaign(self.campaign, self.config)
 
     def fingerprint(self):
         """Checkpoint guard value: configuration + shard shape.
@@ -152,165 +143,97 @@ class ShardJob:
         a sweep checkpointed under ``--workers 2`` must resume exactly
         under any other worker count.
         """
-        if self.campaign == CAMPAIGN_RUN:
-            from repro.core.campaign import Campaign
-
-            config = Campaign(self.config)._fingerprint()
-        else:
-            config = self.config.fingerprint()
         return {
             "campaign": self.campaign,
             "shards": {"chunks_per_server": self.chunks_per_server},
-            "config": config,
+            "config": self.build().fingerprint(),
         }
 
-    def merge(self, payloads, poisoned=()):
-        """Fold unit payloads back into a campaign result.
+    def merge(self, payloads, poisoned=(), folded=None):
+        """Fold stored unit payloads back into a campaign result.
 
-        ``payloads`` maps unit keys to the JSON payloads returned by
-        ``run_shard_unit``; units missing from it (crashed and poisoned,
-        or simply never executed) are skipped.  ``poisoned`` keys are
-        excluded even when a late payload exists for them, so the
-        result matches the supervision stats.  Merging always walks the
-        canonical unit order, which is what makes the result identical
-        for any completion order.
+        ``payloads`` maps unit keys to JSON payloads (any mapping; the
+        pool passes a lazy view of its shard store).  Units missing from
+        it (crashed and poisoned, or never executed) are skipped, and
+        ``poisoned`` keys are excluded even when a late payload exists,
+        so the result matches the supervision stats.  The walk follows
+        the canonical unit order, which is what makes the result
+        identical for any completion order.  ``folded``, when given, is
+        extended with the units whose payloads entered the result.
         """
+        campaign = self.build()
         poisoned = set(poisoned)
-        ordered = [
-            (unit, payloads[unit.key])
+        slices = (
+            (unit, campaign.slice_from_obj(unit, payloads[unit.key]))
             for unit in self.units()
             if unit.key in payloads and unit.key not in poisoned
-        ]
-        if self.campaign == CAMPAIGN_RUN:
-            return _merge_run(self.config, ordered)
-        if self.campaign == CAMPAIGN_RESILIENCE:
-            return _merge_resilience(self.config, ordered)
-        if self.campaign == CAMPAIGN_INVOKE:
-            return _merge_invoke(self.config, ordered)
-        return _merge_fuzz(self.config, ordered)
+        )
+        return fold_slices(campaign, slices, folded)
+
+
+def fold_slices(campaign, slices, folded=None):
+    """Fold ``(unit, slice)`` pairs in order into a fresh result.
+
+    Stops at the first slice the campaign refuses to continue past
+    (fail-fast), without drawing further pairs — so when ``slices``
+    executes units lazily, later units never run.
+    """
+    result = campaign.new_result()
+    for unit, unit_slice in slices:
+        if folded is not None:
+            folded.append(unit)
+        if not campaign.fold(result, unit, unit_slice):
+            break
+    return result
 
 
 def run_unit(job, campaign, unit):
-    """Execute one unit on a built campaign (the worker's inner loop)."""
+    """Execute one unit on a built campaign (the pool worker's inner loop)."""
     if unit_fault_hook is not None:
         unit_fault_hook(unit)
-    return campaign.run_shard_unit(unit)
+    return campaign.run_unit(unit)
 
 
-# -- canonical-order merges ---------------------------------------------------
+class ShardedCampaign:
+    """The per-kind protocol every campaign sweep implements.
+
+    * ``kind`` and ``shard_job()``: the kind and its unit split;
+    * ``fingerprint()``: the configuration part of the checkpoint guard;
+    * ``new_result()``: an empty result;
+    * ``run_unit(unit)``: execute one unit into an in-memory slice;
+    * ``fold(result, unit, slice)``: add a slice to the result; returns
+      False when the sweep must stop there (fail-fast);
+    * ``slice_to_obj(slice)`` / ``slice_from_obj(unit, obj)``: the JSON
+      codec, used only where a slice crosses the checkpoint store or a
+      process boundary.
+    """
+
+    kind = None
+
+    def run(self, progress=None, checkpoint=None):
+        """Execute the sweep in-process; returns the campaign result.
+
+        ``progress`` is an optional ``(message: str) -> None``.
+        ``checkpoint`` is an optional
+        :class:`repro.core.store.CampaignCheckpoint` used as the shard
+        store: each finished unit is persisted atomically, and a re-run
+        — under any worker count — skips finished units, reproducing
+        the exact result an uninterrupted run would have produced.
+        """
+        from repro.runtime.pool import execute
+
+        result, _ = execute(self, checkpoint=checkpoint, progress=progress)
+        return result
 
 
-def _merge_run(config, ordered):
-    from repro.core.results import CampaignResult
-    from repro.core.store import server_slice_from_obj
-
-    result = CampaignResult(
-        server_ids=tuple(config.server_ids),
-        client_ids=tuple(config.client_ids),
-    )
-    walls = {}
-    for unit, payload in ordered:
-        report, records, wall = server_slice_from_obj(unit.server_id, payload)
-        existing = result.servers.get(unit.server_id)
-        if existing is None:
-            result.servers[unit.server_id] = report
-        else:
-            # Chunks repeat the server-level counters and carry only
-            # their slice of the WS-I sets; union the sets, keep the
-            # counters from the first chunk.
-            existing.wsi_failing |= report.wsi_failing
-            existing.wsi_advisory_only |= report.wsi_advisory_only
-        for record in records:
-            result.add_record(record)
-        walls[unit.server_id] = round(
-            walls.get(unit.server_id, 0.0) + wall, 3
-        )
-    result.meta["wall_seconds"] = walls
-    return result
+def cells_to_obj(cells):
+    """A ``{(key, ...): stats}`` cell map as JSON (``"a|b|..."`` keys)."""
+    return {"|".join(key): cell.to_obj() for key, cell in cells.items()}
 
 
-def _merge_resilience(rconfig, ordered):
-    from repro.faults.campaign import (
-        ResilienceCampaignResult,
-        ResilienceCellStats,
-    )
-    from repro.faults.plan import FaultKind
-
-    result = ResilienceCampaignResult(
-        server_ids=tuple(rconfig.base.server_ids),
-        client_ids=tuple(rconfig.base.client_ids),
-        fault_kinds=tuple(
-            FaultKind(kind).value for kind in rconfig.fault_kinds
-        ),
-        rates=tuple(repr(float(rate)) for rate in rconfig.rates),
-        seed=rconfig.seed,
-    )
-    for unit, data in ordered:
-        result.services_per_server[unit.server_id] = data["services"]
-        for key, cell in data["cells"].items():
-            result.cells[tuple(key.split("|"))] = (
-                ResilienceCellStats.from_obj(cell)
-            )
-    return result
-
-
-def _merge_fuzz(fconfig, ordered):
-    from repro.core.store import QuarantineRegistry
-    from repro.faults.campaign import FuzzCampaignResult, FuzzCellStats
-    from repro.faults.corpus import MutationKind
-
-    result = FuzzCampaignResult(
-        server_ids=tuple(fconfig.base.server_ids),
-        client_ids=tuple(fconfig.base.client_ids),
-        mutation_kinds=tuple(
-            MutationKind(kind).value for kind in fconfig.mutation_kinds
-        ),
-        intensities=tuple(repr(float(i)) for i in fconfig.intensities),
-        seed=fconfig.seed,
-    )
-    registry = QuarantineRegistry()
-    for unit, data in ordered:
-        result.services_per_server[unit.server_id] = data["services"]
-        for key, cell in data["cells"].items():
-            result.cells[tuple(key.split("|"))] = FuzzCellStats.from_obj(cell)
-        for entry in data["quarantine"]:
-            registry.poison(*entry)
-        if not data.get("finished", True):
-            # fail-fast abort: the serial sweep stops here, so payloads
-            # of later units (a parallel run may have computed them
-            # already) are discarded for byte-identity.
-            result.aborted = True
-            break
-    result.quarantine = registry.entries()
-    return result
-
-
-def _merge_invoke(iconfig, ordered):
-    from repro.core.store import QuarantineRegistry
-    from repro.invoke.campaign import (
-        InvocationCampaignResult,
-        InvocationCellStats,
-    )
-    from repro.invoke.payloads import PayloadClass
-
-    result = InvocationCampaignResult(
-        server_ids=tuple(iconfig.base.server_ids),
-        client_ids=tuple(iconfig.base.client_ids),
-        payload_classes=tuple(
-            PayloadClass(cls).value for cls in iconfig.payload_classes
-        ),
-        seed=iconfig.seed,
-    )
-    registry = QuarantineRegistry()
-    for unit, data in ordered:
-        result.services_per_server[unit.server_id] = data["services"]
-        for key, value in data["gates"].items():
-            result.gates[key] = dict(value)
-        for key, cell in data["cells"].items():
-            result.cells[tuple(key.split("|"))] = (
-                InvocationCellStats.from_obj(cell)
-            )
-        for entry in data["quarantine"]:
-            registry.poison(*entry)
-    result.quarantine = registry.entries()
-    return result
+def cells_from_obj(obj, cell_type):
+    """Inverse of :func:`cells_to_obj` for cells of ``cell_type``."""
+    return {
+        tuple(key.split("|")): cell_type.from_obj(cell)
+        for key, cell in obj.items()
+    }

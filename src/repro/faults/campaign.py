@@ -27,16 +27,23 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 
 from repro.appservers import container_for
-from repro.core.campaign import Campaign, CampaignConfig
+from repro.core.campaign import Campaign, CampaignConfig, selected_clients
 from repro.core.extended import LifecycleCampaign
 from repro.core.outcomes import StepStatus
+from repro.core.sharding import (
+    CAMPAIGN_FUZZ,
+    CAMPAIGN_RESILIENCE,
+    ShardedCampaign,
+    ShardJob,
+    cells_from_obj,
+    cells_to_obj,
+)
 from repro.core.store import QuarantineRegistry
 from repro.faults.corpus import DEFAULT_MUTATION_KINDS, MutationKind, WsdlMutator
 from repro.faults.plan import DEFAULT_FAULT_KINDS, FaultKind, FaultPlan, derive_seed
 from repro.faults.policies import policy_for
 from repro.faults.transport import FaultingTransport
 from repro.faults.wire import WireFaultingTransport, WireFaultKind, WireFaultPlan
-from repro.frameworks.registry import all_client_frameworks
 from repro.obs.trace import current_tracer
 from repro.runtime import (
     InMemoryHttpTransport,
@@ -178,12 +185,6 @@ class ResilienceCampaignResult:
     def cell(self, server_id, client_id, kind, rate):
         return self.cells[_cell_key(server_id, client_id, kind, rate)]
 
-    def ensure_cell(self, server_id, client_id, kind, rate):
-        key = _cell_key(server_id, client_id, kind, rate)
-        if key not in self.cells:
-            self.cells[key] = ResilienceCellStats()
-        return self.cells[key]
-
     @property
     def tests_executed(self):
         return sum(cell.tests for cell in self.cells.values())
@@ -245,9 +246,7 @@ def resilience_result_to_obj(result):
         "fault_kinds": list(result.fault_kinds),
         "rates": list(result.rates),
         "services_per_server": dict(result.services_per_server),
-        "cells": {
-            "|".join(key): cell.to_obj() for key, cell in result.cells.items()
-        },
+        "cells": cells_to_obj(result.cells),
     }
 
 
@@ -263,12 +262,11 @@ def resilience_result_from_obj(obj):
         seed=obj["seed"],
         services_per_server=dict(obj["services_per_server"]),
     )
-    for key, cell in obj["cells"].items():
-        result.cells[tuple(key.split("|"))] = ResilienceCellStats.from_obj(cell)
+    result.cells.update(cells_from_obj(obj["cells"], ResilienceCellStats))
     return result
 
 
-class ResilienceCampaign(LifecycleCampaign):
+class ResilienceCampaign(ShardedCampaign, LifecycleCampaign):
     """Sweeps fault kinds and rates over the five-step lifecycle.
 
     Per server the corpus is deployed once and a deterministic sample is
@@ -278,6 +276,7 @@ class ResilienceCampaign(LifecycleCampaign):
     :class:`FaultPlan` so the schedule is independent of execution order.
     """
 
+    kind = CAMPAIGN_RESILIENCE
     #: Builds each cell's base transport; the regress drill-down swaps
     #: in a recorder-wrapping factory to capture the cell's exchanges.
     transport_factory = InMemoryHttpTransport
@@ -291,21 +290,26 @@ class ResilienceCampaign(LifecycleCampaign):
             self.rconfig.base,
             sample_per_server=self.rconfig.sample_per_server,
         )
+        #: Builds and caches the catalogs the deployed corpora come from.
+        self._base = Campaign(self.rconfig.base)
 
-    def run(self, progress=None, checkpoint=None):
+    def shard_job(self):
+        """This sweep as a :class:`~repro.core.sharding.ShardJob`.
+
+        One unit per server: within a server the circuit breaker
+        accumulates state across services, so a finer split would
+        change outcomes.
+        """
+        return ShardJob(CAMPAIGN_RESILIENCE, self.rconfig)
+
+    def fingerprint(self):
+        return self.rconfig.fingerprint()
+
+    def new_result(self):
         rconfig = self.rconfig
-        base = rconfig.base
-        if checkpoint is not None:
-            checkpoint.guard("manifest", rconfig.fingerprint())
-        clients = {
-            client_id: client
-            for client_id, client in all_client_frameworks().items()
-            if client_id in base.client_ids
-        }
-        campaign = Campaign(base)
-        result = ResilienceCampaignResult(
-            server_ids=tuple(base.server_ids),
-            client_ids=tuple(base.client_ids),
+        return ResilienceCampaignResult(
+            server_ids=tuple(rconfig.base.server_ids),
+            client_ids=tuple(rconfig.base.client_ids),
             fault_kinds=tuple(
                 fault_kind_of(kind).value for kind in rconfig.fault_kinds
             ),
@@ -313,71 +317,32 @@ class ResilienceCampaign(LifecycleCampaign):
             seed=rconfig.seed,
         )
 
-        for server_id in base.server_ids:
-            slice_key = f"resilience-{server_id}"
-            if checkpoint is not None and checkpoint.has(slice_key):
-                data = checkpoint.load(slice_key)
-                result.services_per_server[server_id] = data["services"]
-                for key, cell in data["cells"].items():
-                    result.cells[tuple(key.split("|"))] = (
-                        ResilienceCellStats.from_obj(cell)
-                    )
-                if progress:
-                    progress(f"[{server_id}] restored from checkpoint")
-                continue
-
-            services, server_cells = self._sweep_server(
-                server_id, clients, campaign, result, progress
-            )
-            if checkpoint is not None:
-                checkpoint.save(
-                    slice_key,
-                    {
-                        "services": services,
-                        "cells": {
-                            "|".join(key): cell.to_obj()
-                            for key, cell in server_cells.items()
-                        },
-                    },
-                )
-        return result
-
-    def _sweep_server(self, server_id, clients, campaign, result,
-                      progress=None):
+    def run_unit(self, unit):
         """Deploy one server and sweep every (kind, rate, client) cell.
 
-        Returns ``(services, server_cells)``, the ingredients of the
-        per-server checkpoint slice and the sharded unit payload.
+        Returns the slice ``{"services", "cells"}``.
         """
         rconfig = self.rconfig
+        server_id = unit.server_id
+        clients = selected_clients(rconfig.base)
         tracer = current_tracer()
-        # One shard unit covers the whole server, so the server span is
-        # real on both the serial and the sharded path (the merge
-        # dedupes by span ID).
+        # One shard unit covers the whole server, so the unit emits the
+        # server span itself.
         with tracer.span("server", server=server_id):
             container = container_for(server_id)
             with tracer.span("deploy") as deploy_span:
-                container.deploy_corpus(campaign.corpus_for(server_id))
+                container.deploy_corpus(self._base.corpus_for(server_id))
                 deploy_span.annotate(deployed=len(container.deployed))
             selected = self._select(container.deployed)
-            result.services_per_server[server_id] = len(selected)
-            if progress:
-                progress(
-                    f"[{server_id}] fault sweep over {len(selected)} services, "
-                    f"{len(rconfig.fault_kinds)} kinds x {len(rconfig.rates)} rates"
-                )
-
-            server_cells = {}
+            cells = {}
             for kind in rconfig.fault_kinds:
                 kind = fault_kind_of(kind)
                 for rate in rconfig.rates:
                     for client_id, client in clients.items():
-                        cell = result.ensure_cell(
-                            server_id, client_id, kind, rate
+                        cell = cells.setdefault(
+                            _cell_key(server_id, client_id, kind, rate),
+                            ResilienceCellStats(),
                         )
-                        server_cells[
-                            _cell_key(server_id, client_id, kind, rate)
-                        ] = cell
                         with tracer.span(
                             "cell", client=client_id, kind=kind.value,
                             rate=repr(float(rate)),
@@ -390,55 +355,24 @@ class ResilienceCampaign(LifecycleCampaign):
                                 tests=cell.tests, completed=cell.completed,
                                 retries=cell.retries,
                             )
-                    if progress:
-                        progress(
-                            f"[{server_id}] {kind.value} @ {rate:g} done"
-                        )
-        return len(selected), server_cells
+        return {"services": len(selected), "cells": cells}
 
-    # -- sharded execution -----------------------------------------------------
+    def fold(self, result, unit, unit_slice):
+        result.services_per_server[unit.server_id] = unit_slice["services"]
+        result.cells.update(unit_slice["cells"])
+        return True
 
-    def shard_job(self):
-        """This sweep as a :class:`~repro.core.sharding.ShardJob`.
-
-        One unit per server: within a server the circuit breaker
-        accumulates state across services, so a finer split would
-        change outcomes relative to the serial sweep.
-        """
-        from repro.core.sharding import CAMPAIGN_RESILIENCE, ShardJob
-
-        return ShardJob(CAMPAIGN_RESILIENCE, self.rconfig, 1)
-
-    def run_shard_unit(self, unit):
-        """Execute one whole-server unit; the checkpoint-slice payload."""
-        base = self.rconfig.base
-        clients = {
-            client_id: client
-            for client_id, client in all_client_frameworks().items()
-            if client_id in base.client_ids
-        }
-        campaign = self._shard_campaign()
-        result = ResilienceCampaignResult(
-            server_ids=tuple(base.server_ids),
-            client_ids=tuple(base.client_ids),
-        )
-        services, server_cells = self._sweep_server(
-            unit.server_id, clients, campaign, result
-        )
+    def slice_to_obj(self, unit_slice):
         return {
-            "services": services,
-            "cells": {
-                "|".join(key): cell.to_obj()
-                for key, cell in server_cells.items()
-            },
+            "services": unit_slice["services"],
+            "cells": cells_to_obj(unit_slice["cells"]),
         }
 
-    def _shard_campaign(self):
-        """A cached base campaign, so a worker builds catalogs once."""
-        campaign = getattr(self, "_shard_campaign_cache", None)
-        if campaign is None:
-            campaign = self._shard_campaign_cache = Campaign(self.rconfig.base)
-        return campaign
+    def slice_from_obj(self, unit, obj):
+        return {
+            "services": obj["services"],
+            "cells": cells_from_obj(obj["cells"], ResilienceCellStats),
+        }
 
     def _run_cell(self, cell, server_id, client_id, client, kind, rate,
                   selected):
@@ -632,12 +566,6 @@ class FuzzCampaignResult:
     def cell(self, server_id, client_id, kind, intensity):
         return self.cells[_fuzz_cell_key(server_id, client_id, kind, intensity)]
 
-    def ensure_cell(self, server_id, client_id, kind, intensity):
-        key = _fuzz_cell_key(server_id, client_id, kind, intensity)
-        if key not in self.cells:
-            self.cells[key] = FuzzCellStats()
-        return self.cells[key]
-
     @property
     def mutants_executed(self):
         return sum(cell.mutants for cell in self.cells.values())
@@ -687,9 +615,7 @@ def fuzz_result_to_obj(result):
         "services_per_server": dict(result.services_per_server),
         "aborted": result.aborted,
         "quarantine": [list(entry) for entry in result.quarantine],
-        "cells": {
-            "|".join(key): cell.to_obj() for key, cell in result.cells.items()
-        },
+        "cells": cells_to_obj(result.cells),
     }
 
 
@@ -707,8 +633,7 @@ def fuzz_result_from_obj(obj):
         quarantine=[tuple(entry) for entry in obj["quarantine"]],
         aborted=obj["aborted"],
     )
-    for key, cell in obj["cells"].items():
-        result.cells[tuple(key.split("|"))] = FuzzCellStats.from_obj(cell)
+    result.cells.update(cells_from_obj(obj["cells"], FuzzCellStats))
     return result
 
 
@@ -717,7 +642,7 @@ def _read_mutant(text, xml_limits):
     return read_wsdl(parse_xml(text, limits=xml_limits))
 
 
-class FuzzCampaign(LifecycleCampaign):
+class FuzzCampaign(ShardedCampaign, LifecycleCampaign):
     """Sweeps corruption operators over every server/client pair.
 
     Per server the corpus is deployed once and a deterministic sample
@@ -725,9 +650,11 @@ class FuzzCampaign(LifecycleCampaign):
     (kind, intensity, index) with a label-derived seed, and every client
     runs its guarded read → generate → compile pipeline over the
     mutant.  The verdicts land in a crash-triage matrix, fatal buckets
-    poison the (server, service, client) triple, and both the matrix
-    slices and the quarantine registry checkpoint after every server.
+    poison the (server, service, client) triple, and each server's
+    matrix slice checkpoints together with its quarantine entries.
     """
+
+    kind = CAMPAIGN_FUZZ
 
     def __init__(self, config=None):
         self.fconfig = config or FuzzCampaignConfig()
@@ -735,24 +662,32 @@ class FuzzCampaign(LifecycleCampaign):
             self.fconfig.base,
             sample_per_server=self.fconfig.sample_per_server,
         )
+        self._base = Campaign(self.fconfig.base)
 
-    def run(self, progress=None, checkpoint=None):
+    def shard_job(self):
+        """This sweep as a :class:`~repro.core.sharding.ShardJob`.
+
+        One unit per server: quarantine triples are keyed by server, so
+        whole-server units keep poisoning semantics independent of the
+        execution order.
+        """
+        return ShardJob(CAMPAIGN_FUZZ, self.fconfig)
+
+    def fingerprint(self):
+        """The config identity plus ``fail_fast``.
+
+        ``fail_fast`` changes what an aborted server's stored slice
+        means, so a resume must use the same setting; it stays out of
+        :meth:`FuzzCampaignConfig.fingerprint`, which also keys trace
+        IDs and regress baselines.
+        """
+        return dict(self.fconfig.fingerprint(), fail_fast=self.fconfig.fail_fast)
+
+    def new_result(self):
         fconfig = self.fconfig
-        base = fconfig.base
-        if checkpoint is not None:
-            checkpoint.guard("manifest", fconfig.fingerprint())
-        quarantine = QuarantineRegistry.load(checkpoint)
-        clients = {
-            client_id: client
-            for client_id, client in all_client_frameworks().items()
-            if client_id in base.client_ids
-        }
-        campaign = Campaign(base)
-        mutator = WsdlMutator(fconfig.seed)
-        limits = fconfig.guard_limits()
-        result = FuzzCampaignResult(
-            server_ids=tuple(base.server_ids),
-            client_ids=tuple(base.client_ids),
+        return FuzzCampaignResult(
+            server_ids=tuple(fconfig.base.server_ids),
+            client_ids=tuple(fconfig.base.client_ids),
             mutation_kinds=tuple(
                 MutationKind(kind).value for kind in fconfig.mutation_kinds
             ),
@@ -760,127 +695,64 @@ class FuzzCampaign(LifecycleCampaign):
             seed=fconfig.seed,
         )
 
-        for server_id in base.server_ids:
-            slice_key = f"fuzz-{server_id}"
-            if checkpoint is not None and checkpoint.has(slice_key):
-                data = checkpoint.load(slice_key)
-                result.services_per_server[server_id] = data["services"]
-                for key, cell in data["cells"].items():
-                    result.cells[tuple(key.split("|"))] = (
-                        FuzzCellStats.from_obj(cell)
-                    )
-                if progress:
-                    progress(f"[{server_id}] restored from checkpoint")
-                continue
-
-            services, server_cells, finished = self._fuzz_one_server(
-                server_id, clients, campaign, mutator, limits,
-                result, quarantine, progress,
-            )
-            if checkpoint is not None:
-                quarantine.save(checkpoint)
-                if finished:
-                    checkpoint.save(
-                        slice_key,
-                        {
-                            "services": services,
-                            "cells": {
-                                "|".join(key): cell.to_obj()
-                                for key, cell in server_cells.items()
-                            },
-                        },
-                    )
-            if not finished:
-                result.aborted = True
-                break
-        result.quarantine = quarantine.entries()
-        return result
-
-    def _fuzz_one_server(self, server_id, clients, campaign, mutator, limits,
-                         result, quarantine, progress=None):
+    def run_unit(self, unit):
         """Deploy and fuzz one server.
 
-        Returns ``(services, server_cells, finished)``, the ingredients
-        of the per-server checkpoint slice and the sharded unit payload.
+        Returns the slice ``{"services", "cells", "quarantine",
+        "finished"}``; ``finished`` is False when fail-fast stopped the
+        server, and the sweep stops with it.
         """
         fconfig = self.fconfig
+        server_id = unit.server_id
         tracer = current_tracer()
+        quarantine = QuarantineRegistry()
+        cells = {}
         with tracer.span("server", server=server_id) as server_span:
             container = container_for(server_id)
             with tracer.span("deploy") as deploy_span:
-                container.deploy_corpus(campaign.corpus_for(server_id))
+                container.deploy_corpus(self._base.corpus_for(server_id))
                 deploy_span.annotate(deployed=len(container.deployed))
             selected = self._select(container.deployed)
-            result.services_per_server[server_id] = len(selected)
-            if progress:
-                progress(
-                    f"[{server_id}] fuzzing {len(selected)} services: "
-                    f"{len(fconfig.mutation_kinds)} kinds x "
-                    f"{len(fconfig.intensities)} intensities x "
-                    f"{fconfig.mutants_per_config} mutants"
-                )
-            server_cells = {}
             finished = self._fuzz_server(
-                server_id, selected, clients, mutator, limits,
-                result, server_cells, quarantine, progress,
+                server_id, selected, selected_clients(fconfig.base),
+                WsdlMutator(fconfig.seed), fconfig.guard_limits(),
+                cells, quarantine,
             )
             if not finished:
                 server_span.annotate(aborted=True)
-        return len(selected), server_cells, finished
-
-    # -- sharded execution -----------------------------------------------------
-
-    def shard_job(self):
-        """This sweep as a :class:`~repro.core.sharding.ShardJob`.
-
-        One unit per server: quarantine triples are keyed by server, so
-        whole-server units keep poisoning semantics identical to the
-        serial sweep.
-        """
-        from repro.core.sharding import CAMPAIGN_FUZZ, ShardJob
-
-        return ShardJob(CAMPAIGN_FUZZ, self.fconfig, 1)
-
-    def run_shard_unit(self, unit):
-        """Execute one whole-server unit; the checkpoint-slice payload
-        plus this server's quarantine entries and fail-fast verdict."""
-        fconfig = self.fconfig
-        base = fconfig.base
-        clients = {
-            client_id: client
-            for client_id, client in all_client_frameworks().items()
-            if client_id in base.client_ids
-        }
-        campaign = self._shard_campaign()
-        quarantine = QuarantineRegistry()
-        result = FuzzCampaignResult(
-            server_ids=tuple(base.server_ids),
-            client_ids=tuple(base.client_ids),
-        )
-        services, server_cells, finished = self._fuzz_one_server(
-            unit.server_id, clients, campaign,
-            WsdlMutator(fconfig.seed), fconfig.guard_limits(),
-            result, quarantine,
-        )
         return {
-            "services": services,
-            "cells": {
-                "|".join(key): cell.to_obj()
-                for key, cell in server_cells.items()
-            },
-            "quarantine": [list(entry) for entry in quarantine.entries()],
+            "services": len(selected),
+            "cells": cells,
+            "quarantine": quarantine.entries(),
             "finished": finished,
         }
 
-    def _shard_campaign(self):
-        """A cached base campaign, so a worker builds catalogs once."""
-        campaign = getattr(self, "_shard_campaign_cache", None)
-        if campaign is None:
-            campaign = self._shard_campaign_cache = Campaign(self.fconfig.base)
-        return campaign
+    def fold(self, result, unit, unit_slice):
+        result.services_per_server[unit.server_id] = unit_slice["services"]
+        result.cells.update(unit_slice["cells"])
+        result.quarantine = sorted(
+            result.quarantine + unit_slice["quarantine"]
+        )
+        if not unit_slice["finished"]:
+            result.aborted = True
+        return unit_slice["finished"]
+
+    def slice_to_obj(self, unit_slice):
+        return dict(
+            unit_slice,
+            cells=cells_to_obj(unit_slice["cells"]),
+            quarantine=[list(entry) for entry in unit_slice["quarantine"]],
+        )
+
+    def slice_from_obj(self, unit, obj):
+        return dict(
+            obj,
+            cells=cells_from_obj(obj["cells"], FuzzCellStats),
+            quarantine=[tuple(entry) for entry in obj["quarantine"]],
+        )
 
     def _fuzz_server(self, server_id, selected, clients, mutator, limits,
-                     result, server_cells, quarantine, progress):
+                     cells, quarantine):
         """Fuzz one server; returns False when fail-fast aborted it."""
         fconfig = self.fconfig
         tracer = current_tracer()
@@ -895,14 +767,12 @@ class FuzzCampaign(LifecycleCampaign):
                             server_id, service_name, index,
                         )
                         for client_id, client in clients.items():
-                            cell = result.ensure_cell(
-                                server_id, client_id, kind, intensity
-                            )
-                            server_cells[
+                            cell = cells.setdefault(
                                 _fuzz_cell_key(
                                     server_id, client_id, kind, intensity
-                                )
-                            ] = cell
+                                ),
+                                FuzzCellStats(),
+                            )
                             with tracer.span(
                                 "mutant", service=service_name,
                                 client=client_id, kind=kind.value,
@@ -935,8 +805,6 @@ class FuzzCampaign(LifecycleCampaign):
                                     and bucket is TriageBucket.TOOL_INTERNAL
                                 ):
                                     return False
-            if progress:
-                progress(f"[{server_id}] {service_name} fuzzed")
         return True
 
     def _drive(self, mutant, client, limits):

@@ -7,9 +7,9 @@ transport → server path and triages each round trip with the total
 fidelity taxonomy of :mod:`repro.invoke.fidelity`.  The result is a
 fidelity matrix per (server, client, payload class) — the data-plane
 companion to the control-plane matrices of the run/resilience/fuzz
-campaigns, with the same platform guarantees: per-server checkpoint
-slices behind a fingerprint guard, whole-server shard units that merge
-byte-identically to the serial sweep, and quarantine of fatal
+campaigns, with the same platform guarantees: whole-server shard
+units checkpointed behind a fingerprint guard and folded identically
+for any worker count, and quarantine of fatal
 (server, service, client, payload-class) cells.
 """
 
@@ -20,10 +20,16 @@ from fnmatch import fnmatch
 from dataclasses import dataclass, field, fields
 
 from repro.appservers import container_for
-from repro.core.campaign import Campaign, CampaignConfig
+from repro.core.campaign import Campaign, CampaignConfig, selected_clients
 from repro.core.extended import LifecycleCampaign
+from repro.core.sharding import (
+    CAMPAIGN_INVOKE,
+    ShardedCampaign,
+    ShardJob,
+    cells_from_obj,
+    cells_to_obj,
+)
 from repro.core.store import QuarantineRegistry
-from repro.frameworks.registry import all_client_frameworks
 from repro.invoke.fidelity import (
     Fidelity,
     Triage,
@@ -44,11 +50,6 @@ from repro.runtime.lifecycle import prepare_client_proxy
 from repro.runtime.wire import transport_factory_for
 
 _INVOKE_FORMAT = 1
-
-#: Checkpoint key of the invocation quarantine; separate from the fuzz
-#: sweep's ``"quarantine"`` and the pool's ``"pool-quarantine"`` so all
-#: three can share one checkpoint directory.
-INVOKE_QUARANTINE_KEY = "invoke-quarantine"
 
 
 @dataclass
@@ -184,18 +185,6 @@ class InvocationCampaignResult:
     def cell(self, server_id, client_id, payload_class):
         return self.cells[_invoke_cell_key(server_id, client_id, payload_class)]
 
-    def ensure_cell(self, server_id, client_id, payload_class):
-        key = _invoke_cell_key(server_id, client_id, payload_class)
-        if key not in self.cells:
-            self.cells[key] = InvocationCellStats()
-        return self.cells[key]
-
-    def ensure_gate(self, server_id, client_id):
-        key = f"{server_id}|{client_id}"
-        if key not in self.gates:
-            self.gates[key] = {"services": 0, "invoked": 0, "gate_failed": 0}
-        return self.gates[key]
-
     @property
     def payloads_executed(self):
         return sum(cell.payloads for cell in self.cells.values())
@@ -248,9 +237,7 @@ def invoke_result_to_obj(result):
         "services_per_server": dict(result.services_per_server),
         "gates": {key: dict(value) for key, value in result.gates.items()},
         "quarantine": [list(entry) for entry in result.quarantine],
-        "cells": {
-            "|".join(key): cell.to_obj() for key, cell in result.cells.items()
-        },
+        "cells": cells_to_obj(result.cells),
     }
 
 
@@ -267,12 +254,11 @@ def invoke_result_from_obj(obj):
         gates={key: dict(value) for key, value in obj["gates"].items()},
         quarantine=[tuple(entry) for entry in obj["quarantine"]],
     )
-    for key, cell in obj["cells"].items():
-        result.cells[tuple(key.split("|"))] = InvocationCellStats.from_obj(cell)
+    result.cells.update(cells_from_obj(obj["cells"], InvocationCellStats))
     return result
 
 
-class InvocationCampaign(LifecycleCampaign):
+class InvocationCampaign(ShardedCampaign, LifecycleCampaign):
     """Sweeps schema-derived payloads over every surviving cell.
 
     Per server the corpus is deployed once and a deterministic sample
@@ -284,6 +270,7 @@ class InvocationCampaign(LifecycleCampaign):
     client:class) quarantine entry so resumed sweeps skip them.
     """
 
+    kind = CAMPAIGN_INVOKE
     #: Builds each cell's transport; the regress drill-down swaps in a
     #: recorder-wrapping factory to capture the cell's exchanges.
     transport_factory = InMemoryHttpTransport
@@ -297,6 +284,7 @@ class InvocationCampaign(LifecycleCampaign):
             self.iconfig.base,
             sample_per_server=self.iconfig.sample_per_server,
         )
+        self._base = Campaign(self.iconfig.base)
 
     def _generator(self):
         iconfig = self.iconfig
@@ -307,69 +295,59 @@ class InvocationCampaign(LifecycleCampaign):
         )
 
     def run(self, progress=None, checkpoint=None):
+        result = super().run(progress=progress, checkpoint=checkpoint)
+        if progress and not result.services_matched and self.iconfig.service_filter:
+            progress(
+                f"no deployed service matches filter "
+                f"{self.iconfig.service_filter!r}; empty fidelity matrix"
+            )
+        return result
+
+    def shard_job(self):
+        """This sweep as a :class:`~repro.core.sharding.ShardJob`.
+
+        One unit per server: quarantine entries are keyed by server, so
+        whole-server units keep poisoning semantics independent of the
+        execution order.
+        """
+        return ShardJob(CAMPAIGN_INVOKE, self.iconfig)
+
+    def fingerprint(self):
+        return self.iconfig.fingerprint()
+
+    def new_result(self):
         iconfig = self.iconfig
-        base = iconfig.base
-        if checkpoint is not None:
-            checkpoint.guard("manifest", iconfig.fingerprint())
-        quarantine = QuarantineRegistry.load(
-            checkpoint, key=INVOKE_QUARANTINE_KEY
-        )
-        clients = {
-            client_id: client
-            for client_id, client in all_client_frameworks().items()
-            if client_id in base.client_ids
-        }
-        campaign = Campaign(base)
-        generator = self._generator()
-        limits = iconfig.guard_limits()
-        result = InvocationCampaignResult(
-            server_ids=tuple(base.server_ids),
-            client_ids=tuple(base.client_ids),
+        return InvocationCampaignResult(
+            server_ids=tuple(iconfig.base.server_ids),
+            client_ids=tuple(iconfig.base.client_ids),
             payload_classes=tuple(
                 PayloadClass(cls).value for cls in iconfig.payload_classes
             ),
             seed=iconfig.seed,
         )
 
-        for server_id in base.server_ids:
-            slice_key = f"invoke-{server_id}"
-            if checkpoint is not None and checkpoint.has(slice_key):
-                data = checkpoint.load(slice_key)
-                result.services_per_server[server_id] = data["services"]
-                for key, value in data["gates"].items():
-                    result.gates[key] = dict(value)
-                for key, cell in data["cells"].items():
-                    result.cells[tuple(key.split("|"))] = (
-                        InvocationCellStats.from_obj(cell)
-                    )
-                if progress:
-                    progress(f"[{server_id}] restored from checkpoint")
-                continue
+    def fold(self, result, unit, unit_slice):
+        result.services_per_server[unit.server_id] = unit_slice["services"]
+        result.gates.update(unit_slice["gates"])
+        result.cells.update(unit_slice["cells"])
+        result.quarantine = sorted(
+            result.quarantine + unit_slice["quarantine"]
+        )
+        return True
 
-            services, server_cells, server_gates = self._invoke_one_server(
-                server_id, clients, campaign, generator, limits,
-                result, quarantine, progress,
-            )
-            if checkpoint is not None:
-                quarantine.save(checkpoint, key=INVOKE_QUARANTINE_KEY)
-                checkpoint.save(
-                    slice_key,
-                    {
-                        "services": services,
-                        "gates": server_gates,
-                        "cells": {
-                            "|".join(key): cell.to_obj()
-                            for key, cell in server_cells.items()
-                        },
-                    },
-                )
-        result.quarantine = quarantine.entries()
-        if progress and not result.services_matched and iconfig.service_filter:
-            progress(
-                f"no deployed service matches filter "
-                f"{iconfig.service_filter!r}; empty fidelity matrix"
-            )
-        return result
+    def slice_to_obj(self, unit_slice):
+        return dict(
+            unit_slice,
+            cells=cells_to_obj(unit_slice["cells"]),
+            quarantine=[list(entry) for entry in unit_slice["quarantine"]],
+        )
+
+    def slice_from_obj(self, unit, obj):
+        return dict(
+            obj,
+            cells=cells_from_obj(obj["cells"], InvocationCellStats),
+            quarantine=[tuple(entry) for entry in obj["quarantine"]],
+        )
 
     def _selected_records(self, container):
         """The sampled (and optionally filtered) deployment records."""
@@ -382,32 +360,28 @@ class InvocationCampaign(LifecycleCampaign):
             ]
         return selected
 
-    def _invoke_one_server(self, server_id, clients, campaign, generator,
-                           limits, result, quarantine, progress=None):
+    def run_unit(self, unit):
         """Deploy one server and invoke every surviving cell.
 
-        Returns ``(services, server_cells, server_gates)``, the
-        ingredients of the per-server checkpoint slice and the sharded
-        unit payload.
+        Returns the slice ``{"services", "gates", "cells",
+        "quarantine"}``; ``gates`` holds, per "server|client" pair, the
+        services seen, proxies built and gates failed.
         """
         iconfig = self.iconfig
+        server_id = unit.server_id
+        clients = selected_clients(iconfig.base)
+        generator = self._generator()
+        limits = iconfig.guard_limits()
+        quarantine = QuarantineRegistry()
         tracer = current_tracer()
+        cells = {}
+        gates = {}
         with tracer.span("server", server=server_id):
             container = container_for(server_id)
             with tracer.span("deploy") as deploy_span:
-                container.deploy_corpus(campaign.corpus_for(server_id))
+                container.deploy_corpus(self._base.corpus_for(server_id))
                 deploy_span.annotate(deployed=len(container.deployed))
             selected = self._selected_records(container)
-            result.services_per_server[server_id] = len(selected)
-            if progress:
-                progress(
-                    f"[{server_id}] invoking {len(selected)} services: "
-                    f"{len(iconfig.payload_classes)} payload classes x "
-                    f"{iconfig.payloads_per_class} payloads"
-                )
-
-            server_cells = {}
-            server_gates = {}
             for record in selected:
                 service_name = record.service.name
                 payloads = generator.generate(record.wsdl, service_name)
@@ -417,21 +391,26 @@ class InvocationCampaign(LifecycleCampaign):
                 }
                 with tracer.span("service", service=service_name):
                     for client_id, client in clients.items():
-                        gate_stats = result.ensure_gate(server_id, client_id)
-                        server_gates[f"{server_id}|{client_id}"] = gate_stats
+                        gate_stats = gates.setdefault(
+                            f"{server_id}|{client_id}",
+                            {"services": 0, "invoked": 0, "gate_failed": 0},
+                        )
                         gate_stats["services"] += 1
                         self._invoke_cell(
                             server_id, service_name, record, client_id,
                             client, payloads, shape, limits,
-                            result, server_cells, gate_stats, quarantine,
+                            cells, gate_stats, quarantine,
                         )
-                if progress:
-                    progress(f"[{server_id}] {service_name} invoked")
-        return len(selected), server_cells, server_gates
+        return {
+            "services": len(selected),
+            "gates": gates,
+            "cells": cells,
+            "quarantine": quarantine.entries(),
+        }
 
     def _invoke_cell(self, server_id, service_name, record, client_id,
-                     client, payloads, shape, limits, result, server_cells,
-                     gate_stats, quarantine):
+                     client, payloads, shape, limits, cells, gate_stats,
+                     quarantine):
         """Drive the whole payload family through one (service, client)."""
         tracer = current_tracer()
         with tracer.span("cell", service=service_name, client=client_id) as span:
@@ -439,15 +418,15 @@ class InvocationCampaign(LifecycleCampaign):
             try:
                 self._invoke_payloads(
                     transport, server_id, service_name, record, client_id,
-                    client, payloads, shape, limits, result, server_cells,
-                    gate_stats, quarantine, span,
+                    client, payloads, shape, limits, cells, gate_stats,
+                    quarantine, span,
                 )
             finally:
                 close_transport(transport)
 
     def _invoke_payloads(self, transport, server_id, service_name, record,
-                         client_id, client, payloads, shape, limits, result,
-                         server_cells, gate_stats, quarantine, span):
+                         client_id, client, payloads, shape, limits, cells,
+                         gate_stats, quarantine, span):
         tracer = current_tracer()
         gate = prepare_client_proxy(
             record, client, client_id=client_id,
@@ -460,12 +439,10 @@ class InvocationCampaign(LifecycleCampaign):
         gate_stats["invoked"] += 1
         operation = gate.document.operations[0].name
         for payload in payloads:
-            cell = result.ensure_cell(
-                server_id, client_id, payload.payload_class
+            cell = cells.setdefault(
+                _invoke_cell_key(server_id, client_id, payload.payload_class),
+                InvocationCellStats(),
             )
-            server_cells[
-                _invoke_cell_key(server_id, client_id, payload.payload_class)
-            ] = cell
             qclient = _quarantine_client(client_id, payload.payload_class)
             with tracer.span(
                 "invoke", payload=payload.label, digest=payload.digest,
@@ -502,54 +479,3 @@ class InvocationCampaign(LifecycleCampaign):
                     server_id, service_name, qclient,
                     triage.fidelity.value, triage.detail,
                 )
-
-    # -- sharded execution -----------------------------------------------------
-
-    def shard_job(self):
-        """This sweep as a :class:`~repro.core.sharding.ShardJob`.
-
-        One unit per server: quarantine entries are keyed by server, so
-        whole-server units keep poisoning semantics identical to the
-        serial sweep.
-        """
-        from repro.core.sharding import CAMPAIGN_INVOKE, ShardJob
-
-        return ShardJob(CAMPAIGN_INVOKE, self.iconfig, 1)
-
-    def run_shard_unit(self, unit):
-        """Execute one whole-server unit; the checkpoint-slice payload
-        plus this server's quarantine entries."""
-        base = self.iconfig.base
-        clients = {
-            client_id: client
-            for client_id, client in all_client_frameworks().items()
-            if client_id in base.client_ids
-        }
-        campaign = self._shard_campaign()
-        quarantine = QuarantineRegistry()
-        result = InvocationCampaignResult(
-            server_ids=tuple(base.server_ids),
-            client_ids=tuple(base.client_ids),
-        )
-        services, server_cells, server_gates = self._invoke_one_server(
-            unit.server_id, clients, campaign,
-            self._generator(), self.iconfig.guard_limits(),
-            result, quarantine,
-        )
-        return {
-            "services": services,
-            "gates": server_gates,
-            "cells": {
-                "|".join(key): cell.to_obj()
-                for key, cell in server_cells.items()
-            },
-            "quarantine": [list(entry) for entry in quarantine.entries()],
-            "finished": True,
-        }
-
-    def _shard_campaign(self):
-        """A cached base campaign, so a worker builds catalogs once."""
-        campaign = getattr(self, "_shard_campaign_cache", None)
-        if campaign is None:
-            campaign = self._shard_campaign_cache = Campaign(self.iconfig.base)
-        return campaign

@@ -245,8 +245,8 @@ class Tracer:
 
         A shard unit executes a *slice* of a server: its child spans
         must parent to the server span, but the unit must not emit a
-        server event covering only its slice — the merge (or the serial
-        path) owns that event.
+        server event covering only its slice — the trace collector
+        owns that event.
         """
         return Span(self, name, attrs, False)
 
@@ -276,6 +276,17 @@ class Tracer:
                 )
             )
             self._observe(span)
+
+    def adopt(self, events, metrics):
+        """Append span events and metrics merged elsewhere.
+
+        An in-process sweep traces each unit on its own tracer and
+        merges them like the pool does; the merged stream joins this
+        tracer here, ahead of the root span it still owns.
+        """
+        self.flush()
+        self._events.extend(events)
+        self.metrics.merge(metrics)
 
     def emit_root(self, name="campaign", **notes):
         """Close the trace: emit the root span covering the whole run."""
@@ -371,17 +382,17 @@ def activate(tracer):
 
 
 class TraceCollector:
-    """Supervisor-side assembly of one sharded run's trace.
+    """Assembly of one sweep's trace from its units' traces.
 
-    Workers buffer span events and a metrics snapshot per unit and ship
-    them with the unit's acknowledgement; the collector stores them by
-    unit key and, once the sweep completes, folds them back **in
-    canonical shard order** — the same order the payload merge walks —
-    so the merged event stream is identical for any worker count and
-    matches the serial emission order.  Server spans no unit emitted
-    (chunked campaigns execute slices) are synthesized from the unit
-    wall clocks; the root span is appended last, exactly as a serial
-    tracer would emit it.
+    Every unit runs under its own tracer — in-process, or in a pool
+    worker that ships the span events and a metrics snapshot with the
+    unit's acknowledgement; the collector stores them by unit key and,
+    once the sweep completes, folds them back **in canonical shard
+    order** — the same order the result fold walks — so the merged
+    event stream is identical for any worker count.  Server spans no
+    unit emitted (chunked campaigns execute slices) are synthesized
+    from the unit wall clocks; the root span is appended last, exactly as a tracer
+    closing a whole run would emit it.
     """
 
     def __init__(self, trace_id):
@@ -404,13 +415,14 @@ class TraceCollector:
         if snapshot:
             self.metrics_by_unit[unit_key] = snapshot
 
-    def finalize(self, units, wall_seconds=0.0):
+    def finalize(self, units, wall_seconds=0.0, root=True):
         """Merge per-unit streams in canonical order.
 
         ``units`` is the canonical unit list *already truncated* to the
         units whose payloads contribute to the merged result (poisoned
         and post-abort units excluded), so the trace always describes
-        exactly the merged campaign result.
+        exactly the merged campaign result.  ``root=False`` leaves the
+        root span to a tracer that adopts the merged stream.
         """
         seen = set()
         merged = []
@@ -452,6 +464,9 @@ class TraceCollector:
                 self.metrics.observe("span_ms", wall_ms, name="server")
                 self.metrics.inc("spans_total", name="server")
 
+        self.events = merged
+        if not root:
+            return merged
         root_ms = round(wall_seconds * 1000.0, 3)
         push(
             _span_event(
@@ -461,5 +476,4 @@ class TraceCollector:
         )
         self.metrics.observe("span_ms", root_ms, name="campaign")
         self.metrics.inc("spans_total", name="campaign")
-        self.events = merged
         return merged

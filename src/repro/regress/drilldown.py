@@ -75,10 +75,7 @@ def _span_obj(event):
         "parent": event["parent"],
         "name": event["name"],
         "attrs": dict(event["attrs"]),
-        "notes": {
-            key: value for key, value in event["notes"].items()
-            if key not in ("recorded_wall_seconds",)
-        },
+        "notes": dict(event["notes"]),
     }
 
 

@@ -1,4 +1,11 @@
-"""Supervised process-isolated parallel execution of campaign shards.
+"""Sweep execution: in-process or supervised and process-isolated.
+
+:func:`execute` is the one execution path of every campaign sweep.  At
+one worker it runs the shard units in this process, in canonical
+order, folding each slice into the result as it completes; at more it
+hands the same units to the supervised pool below.  Both share the
+planning (restored and poisoned units), the checkpoint guard, the
+progress stream and the trace collector.
 
 The in-process :class:`~repro.runtime.guard.GuardedStep` contains the
 failures it can *see* — a classified exception, a blown budget, a slow
@@ -29,9 +36,10 @@ Architecture (one supervisor, N long-lived ``multiprocessing`` workers):
   :class:`~repro.core.store.QuarantineRegistry` (checkpoint key
   ``"pool-quarantine"``) instead of being retried forever, so the sweep
   always completes.
-* Completed payloads are merged **in canonical shard order**, making
-  the result byte-identical for ``--workers 1..N`` and identical to the
-  serial path; poisoned units are simply absent (serial-minus-poisoned).
+* Completed payloads are folded **in canonical shard order** with the
+  same per-kind fold the in-process path uses, making the result
+  byte-identical for any worker count; poisoned units are simply
+  absent (serial-minus-poisoned).
 * When a checkpoint is supplied, the shard store *is* the checkpoint:
   a ``kill -9`` of the supervisor itself resumes exactly, because every
   finished unit is already durable under a worker-count-independent key.
@@ -52,7 +60,7 @@ from dataclasses import dataclass, field
 
 from repro.core import sharding
 from repro.core.store import CampaignCheckpoint, QuarantineRegistry
-from repro.obs.trace import Tracer, activate
+from repro.obs.trace import TraceCollector, Tracer, activate, current_tracer
 from repro.runtime.guard import TriageBucket, classify_exception
 
 #: Checkpoint key of the unit-level quarantine registry.  Distinct from
@@ -72,7 +80,8 @@ def default_start_method():
 class PoolConfig:
     """Supervision parameters of one sharded execution."""
 
-    #: Worker processes; 1 is valid and still process-isolates the sweep.
+    #: Worker processes.  :func:`execute` runs a one-worker sweep
+    #: in-process; :func:`execute_sharded` process-isolates even one.
     workers: int = 2
     #: SIGKILL a worker whose in-flight unit exceeds this wall clock.
     watchdog_seconds: float = 300.0
@@ -152,6 +161,21 @@ class PoolStats:
         }
 
 
+def _observed(trace_id, fn, *args):
+    """``(fn(*args), observation)``; traced under a fresh per-unit tracer.
+
+    The observation — the unit's span events and a metrics snapshot —
+    is what a :class:`~repro.obs.trace.TraceCollector` folds back in
+    canonical order; ``None`` when ``trace_id`` is ``None``.
+    """
+    if trace_id is None:
+        return fn(*args), None
+    tracer = Tracer(trace_id)
+    with activate(tracer):
+        value = fn(*args)
+    return value, {"events": tracer.events, "metrics": tracer.metrics.to_obj()}
+
+
 def _worker_main(worker_id, job, spool_dir, task_queue, result_conn,
                  heartbeat, heartbeat_seconds, trace_id=None):
     """Child-process loop: execute assigned units until the sentinel.
@@ -189,17 +213,10 @@ def _worker_main(worker_id, job, spool_dir, task_queue, result_conn,
         observation = None
         try:
             if not spool.has(unit.key):
-                if trace_id is None:
-                    payload = sharding.run_unit(job, campaign, unit)
-                else:
-                    tracer = Tracer(trace_id)
-                    with activate(tracer):
-                        payload = sharding.run_unit(job, campaign, unit)
-                    observation = {
-                        "events": tracer.events,
-                        "metrics": tracer.metrics.to_obj(),
-                    }
-                spool.save(unit.key, payload)
+                unit_slice, observation = _observed(
+                    trace_id, sharding.run_unit, job, campaign, unit
+                )
+                spool.save(unit.key, campaign.slice_to_obj(unit_slice))
         except Exception as exc:  # noqa: BLE001 — triaged, reported, contained
             bucket = classify_exception(exc)
             detail = f"{type(exc).__name__}: {exc}"
@@ -268,8 +285,16 @@ class _WorkerHandle:
         }
 
 
-class _Supervisor:
-    """Runs one :class:`~repro.core.sharding.ShardJob` to completion."""
+class _Runner:
+    """Planning and bookkeeping shared by both ways of executing a job.
+
+    ``spool`` is the shard store: the checkpoint when one is given, a
+    temporary directory for the pool without one, ``None`` for an
+    in-process sweep without one.  :meth:`plan` sorts the canonical
+    units into poisoned (by an earlier pooled run), restored (already
+    in the store) and pending; :meth:`sweep` returns ``(result,
+    folded_units)``.
+    """
 
     def __init__(self, job, pool, spool, checkpoint, progress, collector=None,
                  telemetry=None):
@@ -280,31 +305,19 @@ class _Supervisor:
         self.progress = progress
         self.collector = collector  # TraceCollector or None
         self.telemetry = telemetry  # ProgressWriter or None
-        self.ctx = multiprocessing.get_context(
-            pool.start_method or default_start_method()
-        )
-        self.workers = {}
-        self.worker_ids = itertools.count(1)
         self.registry = QuarantineRegistry.load(
             checkpoint, key=POOL_QUARANTINE_KEY
         )
+        self.units = []
         self.pending = deque()
         self.completed = set()
         self.poisoned = set()
-        self.attempts = {}
-        #: worker id → servers it has executed units for.  Workers cache
-        #: one corpus deployment per server, so scheduling is
-        #: affinity-first; the canonical-order merge keeps the result
-        #: independent of these choices.
-        self.affinity = {}
         self.stats = PoolStats(workers=pool.workers)
 
-    # -- planning --------------------------------------------------------------
-
     def plan(self):
-        units = self.job.units()
-        self.stats.units_total = len(units)
-        for unit in units:
+        self.units = self.job.units()
+        self.stats.units_total = len(self.units)
+        for unit in self.units:
             reason = self.registry.reason(
                 unit.server_id, unit.key, self.job.campaign
             )
@@ -318,7 +331,7 @@ class _Supervisor:
                     )
                 )
                 continue
-            if self.spool.has(unit.key):
+            if self.spool is not None and self.spool.has(unit.key):
                 self.completed.add(unit.key)
                 self.stats.units_restored += 1
                 continue
@@ -326,7 +339,7 @@ class _Supervisor:
         if self.progress and (self.stats.units_restored
                               or self.stats.units_poisoned):
             self.progress(
-                f"[pool] resume: {self.stats.units_restored} restored, "
+                f"[sweep] resume: {self.stats.units_restored} restored, "
                 f"{self.stats.units_poisoned} poisoned, "
                 f"{len(self.pending)} to run"
             )
@@ -337,7 +350,96 @@ class _Supervisor:
                 restored=self.stats.units_restored,
                 poisoned=self.stats.units_poisoned,
             )
-        return units
+
+    def _unit_done(self, unit_key):
+        self.completed.add(unit_key)
+        if self.progress:
+            self.progress(
+                f"[sweep] {unit_key} done "
+                f"({len(self.completed)}/{self.stats.units_total})"
+            )
+
+
+class _InProcess(_Runner):
+    """Executes the units in this process, in canonical order.
+
+    Each unit's slice is folded into the result as soon as the unit
+    finishes — and encoded only when it is stored — so memory holds the
+    result plus one slice.  Restored units are decoded from the store in
+    their canonical place; a fail-fast stop leaves later units unrun.
+    The progress stream gets one forced update per finished unit.
+    """
+
+    def __init__(self, campaign, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.campaign = campaign
+
+    def sweep(self):
+        folded = []
+        result = sharding.fold_slices(self.campaign, self._slices(), folded)
+        self.stats.units_completed = len(self.completed)
+        return result, folded
+
+    def _slices(self):
+        campaign = self.campaign
+        trace_id = self.collector.trace_id if self.collector else None
+        for unit in self.units:
+            if unit.key in self.poisoned:
+                continue
+            if unit.key in self.completed:
+                yield unit, campaign.slice_from_obj(
+                    unit, self.spool.load(unit.key)
+                )
+                continue
+            # The unit method itself, not the pool worker's entry point.
+            unit_slice, observation = _observed(
+                trace_id, campaign.run_unit, unit
+            )
+            if self.spool is not None:
+                self.spool.save(unit.key, campaign.slice_to_obj(unit_slice))
+            if self.collector is not None:
+                self.collector.collect(unit.key, observation)
+            self._unit_done(unit.key)
+            if self.telemetry is not None:
+                self.telemetry.update(
+                    done=len(self.completed),
+                    poisoned=self.stats.units_poisoned,
+                    worker_rows=[], force=True,
+                )
+            yield unit, unit_slice
+
+
+class _StoreView:
+    """Finished unit payloads, each read from the shard store on access,
+    so the pool's merge holds one payload at a time."""
+
+    def __init__(self, store, keys):
+        self.store = store
+        self.keys = keys
+
+    def __contains__(self, key):
+        return key in self.keys
+
+    def __getitem__(self, key):
+        return self.store.load(key)
+
+
+class _Supervisor(_Runner):
+    """Runs one :class:`~repro.core.sharding.ShardJob` on worker processes."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.ctx = multiprocessing.get_context(
+            self.pool.start_method or default_start_method()
+        )
+        self.workers = {}
+        self.worker_ids = itertools.count(1)
+        self.attempts = {}
+        #: worker id → servers it has executed units for.  A worker
+        #: keeps its current server's deployment, so scheduling is
+        #: affinity-first; the canonical-order merge keeps the result
+        #: independent of these choices.
+        self.affinity = {}
 
     # -- worker lifecycle ------------------------------------------------------
 
@@ -414,7 +516,7 @@ class _Supervisor:
             )
             if self.progress:
                 self.progress(
-                    f"[pool] {unit.key} poisoned after {attempt} "
+                    f"[sweep] {unit.key} poisoned after {attempt} "
                     f"attempts ({bucket.value}): {detail}"
                 )
         else:
@@ -422,7 +524,7 @@ class _Supervisor:
             self.stats.reassignments += 1
             if self.progress:
                 self.progress(
-                    f"[pool] {unit.key} reassigned after "
+                    f"[sweep] {unit.key} reassigned after "
                     f"{bucket.value}: {detail}"
                 )
 
@@ -448,16 +550,11 @@ class _Supervisor:
             unit_key = message[2]
             if self.collector is not None and len(message) > 3:
                 self.collector.collect(unit_key, message[3])
-            self.completed.add(unit_key)
             if handle is not None and handle.unit is not None \
                     and handle.unit.key == unit_key:
                 handle.units_done += 1
                 handle.release()
-            if self.progress:
-                self.progress(
-                    f"[pool] {unit_key} done "
-                    f"({len(self.completed)}/{self.stats.units_total})"
-                )
+            self._unit_done(unit_key)
         elif kind == "failed":
             unit_key, bucket_value, detail = message[2], message[3], message[4]
             if handle is not None and handle.unit is not None \
@@ -592,7 +689,15 @@ class _Supervisor:
             force=force,
         )
 
-    def run(self):
+    def sweep(self):
+        self._supervise()
+        folded = []
+        result = self.job.merge(
+            _StoreView(self.spool, self.completed), self.poisoned, folded
+        )
+        return result, folded
+
+    def _supervise(self):
         completed_seen = len(self.completed)
         try:
             while self.pending or any(
@@ -631,6 +736,43 @@ class _Supervisor:
         self.stats.units_completed = len(self.completed)
 
 
+def execute(campaign, pool=None, job=None, checkpoint=None, progress=None,
+            collector=None, progress_path=None, eta_wall_hint_seconds=None):
+    """Run one sweep of ``campaign``: the one execution path of every kind.
+
+    ``job`` defaults to ``campaign.shard_job()``.  With ``pool`` unset
+    or at one worker, the units execute in this process in canonical
+    order on ``campaign`` itself (so catalogs it already built are
+    reused); with more workers they go to the supervised pool.  Either
+    way the result is the units' slices folded in canonical order, and
+    ``checkpoint`` is the shard store under the same unit keys — a sweep
+    resumes under any worker count.  Returns ``(result, stats)``.
+
+    In-process units are traced like pool units: through ``collector``
+    when one is given, otherwise — when a tracer is active — through a
+    private collector whose merged stream is handed to that tracer,
+    which still owns (and emits) the root span.
+    """
+    pool = pool or PoolConfig(workers=1)
+    job = job or campaign.shard_job()
+    options = dict(
+        checkpoint=checkpoint, progress=progress,
+        progress_path=progress_path,
+        eta_wall_hint_seconds=eta_wall_hint_seconds,
+    )
+    if pool.workers > 1:
+        return _execute(job, pool, None, collector=collector, **options)
+    tracer = current_tracer()
+    if collector is None and tracer.enabled:
+        private = TraceCollector(tracer.trace_id)
+        outcome = _execute(
+            job, pool, campaign, collector=private, root=False, **options
+        )
+        tracer.adopt(private.events, private.metrics)
+        return outcome
+    return _execute(job, pool, campaign, collector=collector, **options)
+
+
 def execute_sharded(job, pool=None, checkpoint=None, progress=None,
                     collector=None, progress_path=None,
                     eta_wall_hint_seconds=None):
@@ -640,7 +782,9 @@ def execute_sharded(job, pool=None, checkpoint=None, progress=None,
     store: finished units are durable under worker-count-independent
     keys, so both worker loss and a hard kill of the supervisor resume
     exactly.  Without a checkpoint a temporary spool directory plays
-    that role for the duration of the call.
+    that role for the duration of the call.  Even one worker is a
+    separate, supervised process here; :func:`execute` is the entry
+    point that runs a one-worker sweep in-process.
 
     ``collector`` is an optional
     :class:`~repro.obs.trace.TraceCollector`: workers then trace each
@@ -654,14 +798,24 @@ def execute_sharded(job, pool=None, checkpoint=None, progress=None,
     Pure telemetry — the merged result is byte-identical with or
     without it.
     """
-    pool = pool or PoolConfig()
+    return _execute(
+        job, pool or PoolConfig(), None, checkpoint=checkpoint,
+        progress=progress, collector=collector, progress_path=progress_path,
+        eta_wall_hint_seconds=eta_wall_hint_seconds,
+    )
+
+
+def _execute(job, pool, campaign, checkpoint=None, progress=None,
+             collector=None, progress_path=None, eta_wall_hint_seconds=None,
+             root=True):
+    """Guard, plan, sweep (in-process on ``campaign``, else pooled), report."""
     if pool.workers < 1:
         raise ValueError(f"workers must be >= 1, got {pool.workers}")
     started = time.monotonic()
+    spool, owns_spool = checkpoint, False
     if checkpoint is not None:
         checkpoint.guard("manifest", job.fingerprint())
-        spool, owns_spool = checkpoint, False
-    else:
+    elif campaign is None:
         spool_dir = tempfile.mkdtemp(prefix="wsinterop-shards-")
         spool, owns_spool = CampaignCheckpoint(spool_dir), True
     telemetry = None
@@ -673,30 +827,25 @@ def execute_sharded(job, pool=None, checkpoint=None, progress=None,
             eta_wall_hint_seconds=eta_wall_hint_seconds,
         )
     try:
-        supervisor = _Supervisor(
-            job, pool, spool, checkpoint, progress, collector=collector,
-            telemetry=telemetry,
-        )
-        units = supervisor.plan()
+        args = (job, pool, spool, checkpoint, progress, collector, telemetry)
+        if campaign is None:
+            runner = _Supervisor(*args)
+        else:
+            runner = _InProcess(campaign, *args)
+        runner.plan()
         try:
-            supervisor.run()
+            result, folded = runner.sweep()
         except BaseException:
             if telemetry is not None:
                 telemetry.final(
-                    done=len(supervisor.completed),
-                    poisoned=supervisor.stats.units_poisoned,
+                    done=len(runner.completed),
+                    poisoned=runner.stats.units_poisoned,
                     wall_seconds=time.monotonic() - started,
                     outcome="interrupted",
                 )
             raise
-        stats = supervisor.stats
+        stats = runner.stats
         stats.worker_timeline.sort(key=lambda row: row["worker"])
-        payloads = {
-            unit.key: spool.load(unit.key)
-            for unit in units
-            if unit.key in supervisor.completed
-        }
-        result = job.merge(payloads, poisoned=supervisor.poisoned)
         stats.wall_seconds = round(time.monotonic() - started, 3)
         if telemetry is not None:
             telemetry.final(
@@ -705,20 +854,8 @@ def execute_sharded(job, pool=None, checkpoint=None, progress=None,
                 wall_seconds=stats.wall_seconds,
             )
         if collector is not None:
-            contributing = []
-            for unit in units:
-                payload = payloads.get(unit.key)
-                if payload is None or unit.key in supervisor.poisoned:
-                    continue
-                contributing.append(unit)
-                if isinstance(payload, dict) and not payload.get(
-                    "finished", True
-                ):
-                    # Mirrors the merge's fail-fast truncation: later
-                    # units' events must not describe discarded payloads.
-                    break
             collector.finalize(
-                contributing, wall_seconds=stats.wall_seconds
+                folded, wall_seconds=stats.wall_seconds, root=root
             )
             collector.worker_events = [
                 {"type": "worker", **row} for row in stats.worker_timeline

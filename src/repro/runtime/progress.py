@@ -1,8 +1,8 @@
 """Live sweep telemetry: a crash-safe JSONL heartbeat stream.
 
-A long sweep under the pool supervisor is a black box until the merged
-result lands.  With ``--progress <path>`` the supervisor appends one
-JSON line per heartbeat — units done/total, per-worker state, an ETA —
+A long sweep is a black box until the merged result lands.  With
+``--progress <path>`` the sweep appends one JSON line per
+heartbeat — units done/total, per-worker state, an ETA —
 so an operator (or the future campaign-as-a-service scheduler) can
 ``tail -f`` a running sweep instead of waiting for the post-hoc trace.
 
@@ -154,7 +154,7 @@ def read_progress(path):
 
 
 class ProgressWriter:
-    """Appends the heartbeat stream for one supervised sweep.
+    """Appends the heartbeat stream for one sweep.
 
     Heartbeats are rate-limited (``min_interval_seconds``) except when
     forced, so a fast sweep of tiny units does not turn the stream into

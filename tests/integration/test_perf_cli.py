@@ -162,13 +162,20 @@ class TestProgressStream:
         # only come from the recorded history.
         assert stream["meta"]["eta_seconds"] is not None
 
-    def test_serial_progress_prints_note(self, tmp_path, capsys):
+    def test_serial_record_emits_valid_stream(self, tmp_path, capsys):
         ledger_dir = str(tmp_path / "ledger")
         progress_path = str(tmp_path / "progress.jsonl")
         assert _record(ledger_dir, "t0", workers=1,
                        extra=["--progress", progress_path]) == 0
-        assert "--workers 2 or more" in capsys.readouterr().err
-        assert not os.path.exists(progress_path)
+        capsys.readouterr()
+        lines = open(progress_path, encoding="utf-8").readlines()
+        assert validate_progress_lines(lines) >= 2
+        stream = read_progress(progress_path)
+        assert stream["meta"]["workers"] == 1
+        assert stream["final"]["outcome"] == "completed"
+        assert stream["final"]["done"] == stream["final"]["total"]
+        # One forced update per unit executed in-process.
+        assert len(stream["updates"]) == stream["final"]["total"]
 
 
 class TestProfileEdgeCases:

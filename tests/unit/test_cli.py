@@ -38,6 +38,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--transport", "pigeon"])
 
+    @pytest.mark.parametrize("command", ["run", "fuzz", "regress"])
+    def test_workers_below_one_rejected(self, command, capsys):
+        extra = ["--baseline-dir", "b"] if command == "regress" else []
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([command, "--workers", "0"] + extra)
+        assert excinfo.value.code == 2
+        assert "--workers: must be >= 1" in capsys.readouterr().err
+
 
 class TestTransportGuards:
     def test_wire_kind_requires_wire_transport(self, capsys):

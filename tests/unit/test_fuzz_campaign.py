@@ -1,12 +1,17 @@
 """Fuzz sweeps: determinism, quarantine, checkpoint/resume, CLI exits."""
 
 import json
+import multiprocessing
 
 import pytest
 
 from repro.cli import main
 from repro.core import CampaignConfig
-from repro.core.store import CampaignCheckpoint, QuarantineRegistry
+from repro.core.store import (
+    CampaignCheckpoint,
+    CheckpointMismatch,
+    QuarantineRegistry,
+)
 from repro.faults import (
     FuzzCampaign,
     FuzzCampaignConfig,
@@ -15,6 +20,7 @@ from repro.faults import (
     fuzz_result_to_obj,
 )
 from repro.frameworks.client import SudsClient
+from repro.runtime.pool import PoolConfig, execute
 from repro.typesystem import QUICK_DOTNET_QUOTAS, QUICK_JAVA_QUOTAS
 
 
@@ -196,8 +202,10 @@ class TestFuzzCheckpointResume:
         finally:
             FuzzCampaign._fuzz_server = original
 
-        # The poison list survived the crash alongside the first slice.
-        assert len(QuarantineRegistry.load(checkpoint)) > 0
+        # The poison list survived the crash inside the first unit's
+        # payload.
+        first = FuzzCampaign(_poison_fconfig()).shard_job().units()[0]
+        assert checkpoint.load(first.key)["quarantine"]
 
         resumed = FuzzCampaign(_poison_fconfig()).run(checkpoint=checkpoint)
         assert fuzz_result_to_obj(resumed) == fuzz_result_to_obj(uninterrupted)
@@ -215,6 +223,56 @@ class TestFuzzCheckpointResume:
         reshaped = _tiny_fconfig(intensities=(0.6, 0.9))
         with pytest.raises(ValueError, match="different campaign"):
             FuzzCampaign(reshaped).run(checkpoint=checkpoint)
+
+
+def _plant_generator_bug(monkeypatch):
+    monkeypatch.setattr(
+        SudsClient, "generate",
+        lambda self, document: (_ for _ in ()).throw(
+            RuntimeError("planted harness bug")
+        ),
+    )
+
+
+class TestFailFastResume:
+    def test_resume_under_other_fail_fast_is_refused(
+        self, tmp_path, monkeypatch
+    ):
+        _plant_generator_bug(monkeypatch)
+        checkpoint = CampaignCheckpoint(str(tmp_path))
+        aborted = FuzzCampaign(_poison_fconfig(fail_fast=True)).run(
+            checkpoint=checkpoint
+        )
+        assert aborted.aborted
+        with pytest.raises(CheckpointMismatch) as excinfo:
+            FuzzCampaign(_poison_fconfig()).run(checkpoint=checkpoint)
+        assert "--checkpoint-dir" in excinfo.value.hint
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="pooled resumes rely on the fork start method",
+    )
+    @pytest.mark.parametrize("writer,resumer", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    def test_same_config_resume_reproduces_the_abort(
+        self, tmp_path, monkeypatch, writer, resumer
+    ):
+        _plant_generator_bug(monkeypatch)
+        config = _poison_fconfig(fail_fast=True)
+        uninterrupted = FuzzCampaign(config).run()
+        assert uninterrupted.aborted
+        checkpoint = CampaignCheckpoint(str(tmp_path))
+        execute(
+            FuzzCampaign(config), PoolConfig(workers=writer),
+            checkpoint=checkpoint,
+        )
+        resumed, _ = execute(
+            FuzzCampaign(config), PoolConfig(workers=resumer),
+            checkpoint=checkpoint,
+        )
+        assert resumed.aborted
+        assert fuzz_result_to_obj(resumed) == fuzz_result_to_obj(
+            uninterrupted
+        )
 
 
 class TestFuzzCli:

@@ -6,9 +6,8 @@ import pytest
 
 from repro.cli import main
 from repro.core import CampaignConfig
-from repro.core.store import CampaignCheckpoint, QuarantineRegistry
+from repro.core.store import CampaignCheckpoint
 from repro.invoke import (
-    INVOKE_QUARANTINE_KEY,
     InvocationCampaign,
     InvocationCampaignConfig,
     PayloadClass,
@@ -79,7 +78,8 @@ class TestDeterminism:
         campaign = InvocationCampaign(config)
         job = campaign.shard_job()
         payloads = {
-            unit.key: campaign.run_shard_unit(unit) for unit in job.units()
+            unit.key: campaign.slice_to_obj(campaign.run_unit(unit))
+            for unit in job.units()
         }
         merged = invoke_result_to_obj(job.merge(payloads))
         assert merged == serial
@@ -154,21 +154,21 @@ class TestCheckpointResume:
         uninterrupted = InvocationCampaign(_tiny_iconfig()).run()
 
         checkpoint = CampaignCheckpoint(str(tmp_path / "ckpt"))
-        original = InvocationCampaign._invoke_one_server
+        original = InvocationCampaign.run_unit
         seen = []
 
-        def dying(self, server_id, *args, **kwargs):
-            seen.append(server_id)
+        def dying(self, unit):
+            seen.append(unit.server_id)
             if len(seen) > 1:
                 raise KeyboardInterrupt("simulated crash during server 2")
-            return original(self, server_id, *args, **kwargs)
+            return original(self, unit)
 
-        InvocationCampaign._invoke_one_server = dying
+        InvocationCampaign.run_unit = dying
         try:
             with pytest.raises(KeyboardInterrupt):
                 InvocationCampaign(_tiny_iconfig()).run(checkpoint=checkpoint)
         finally:
-            InvocationCampaign._invoke_one_server = original
+            InvocationCampaign.run_unit = original
 
         assert any(key.startswith("invoke-") for key in checkpoint.keys())
         resumed = InvocationCampaign(_tiny_iconfig()).run(
@@ -184,25 +184,25 @@ class TestCheckpointResume:
 
         monkeypatch.setattr(GeneratedClientProxy, "invoke", buggy)
         checkpoint = CampaignCheckpoint(str(tmp_path / "ckpt"))
-        original = InvocationCampaign._invoke_one_server
+        original = InvocationCampaign.run_unit
         seen = []
 
-        def dying(self, server_id, *args, **kwargs):
-            seen.append(server_id)
+        def dying(self, unit):
+            seen.append(unit.server_id)
             if len(seen) > 1:
                 raise KeyboardInterrupt("simulated crash during server 2")
-            return original(self, server_id, *args, **kwargs)
+            return original(self, unit)
 
-        InvocationCampaign._invoke_one_server = dying
+        InvocationCampaign.run_unit = dying
         try:
             with pytest.raises(KeyboardInterrupt):
                 InvocationCampaign(_tiny_iconfig()).run(checkpoint=checkpoint)
         finally:
-            InvocationCampaign._invoke_one_server = original
+            InvocationCampaign.run_unit = original
 
-        assert len(
-            QuarantineRegistry.load(checkpoint, key=INVOKE_QUARANTINE_KEY)
-        ) > 0
+        # The first server's unit payload carries its poison list.
+        first = InvocationCampaign(_tiny_iconfig()).shard_job().units()[0]
+        assert checkpoint.load(first.key)["quarantine"]
 
     def test_changed_config_is_rejected(self, tmp_path):
         from repro.core.store import CheckpointMismatch

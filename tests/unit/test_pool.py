@@ -63,7 +63,7 @@ def _serial_digest():
 def _expected_minus(job, poisoned_key):
     campaign = job.build()
     payloads = {
-        unit.key: campaign.run_shard_unit(unit)
+        unit.key: campaign.slice_to_obj(campaign.run_unit(unit))
         for unit in job.units()
         if unit.key != poisoned_key
     }

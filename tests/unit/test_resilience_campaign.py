@@ -139,21 +139,21 @@ class TestCampaignCheckpointResume:
         save_result(uninterrupted, plain_path)
 
         checkpoint = CampaignCheckpoint(str(tmp_path / "ckpt"))
-        original = Campaign._run_one_server
-        seen = []
+        original = Campaign.run_unit
+        seen = set()
 
-        def dying(self, server_id, *args, **kwargs):
-            seen.append(server_id)
+        def dying(self, unit):
+            seen.add(unit.server_id)
             if len(seen) > 1:
                 raise KeyboardInterrupt("simulated crash during server 2")
-            return original(self, server_id, *args, **kwargs)
+            return original(self, unit)
 
-        Campaign._run_one_server = dying
+        Campaign.run_unit = dying
         try:
             with pytest.raises(KeyboardInterrupt):
                 Campaign(self._config()).run(checkpoint=checkpoint)
         finally:
-            Campaign._run_one_server = original
+            Campaign.run_unit = original
 
         resumed = Campaign(self._config()).run(checkpoint=checkpoint)
         resumed_path = str(tmp_path / "resumed.json")
@@ -168,12 +168,12 @@ class TestCampaignCheckpointResume:
         def exploding(self, *args, **kwargs):
             raise AssertionError("should not re-run any server")
 
-        original = Campaign._run_one_server
-        Campaign._run_one_server = exploding
+        original = Campaign.run_unit
+        Campaign.run_unit = exploding
         try:
             second = Campaign(self._config()).run(checkpoint=checkpoint)
         finally:
-            Campaign._run_one_server = original
+            Campaign.run_unit = original
         assert result_to_obj(first) == result_to_obj(second)
         # Wall times come from the checkpoint, not from a re-run.
         assert second.meta["wall_seconds"] == first.meta["wall_seconds"]
@@ -234,10 +234,11 @@ class TestFlagOverrideRestoration:
         monkeypatch.setattr(
             campaign_module, "all_client_frameworks", lambda: shared
         )
+        # Crash inside a unit, while the overrides are applied.
         monkeypatch.setattr(
-            Campaign,
-            "_run_one_server",
-            lambda self, *args, **kwargs: (_ for _ in ()).throw(
+            campaign_module,
+            "run_client_test",
+            lambda *args, **kwargs: (_ for _ in ()).throw(
                 RuntimeError("boom")
             ),
         )

@@ -112,7 +112,8 @@ class TestRunMerge:
         job = Campaign(config).shard_job(chunks_per_server=3)
         campaign = job.build()
         payloads = {
-            unit.key: campaign.run_shard_unit(unit) for unit in job.units()
+            unit.key: campaign.slice_to_obj(campaign.run_unit(unit))
+            for unit in job.units()
         }
         # Completion order must not matter: merge from a reversed dict.
         shuffled = dict(reversed(list(payloads.items())))
@@ -124,7 +125,8 @@ class TestRunMerge:
         job = Campaign(config).shard_job(chunks_per_server=2)
         campaign = job.build()
         payloads = {
-            unit.key: campaign.run_shard_unit(unit) for unit in job.units()
+            unit.key: campaign.slice_to_obj(campaign.run_unit(unit))
+            for unit in job.units()
         }
         poisoned = "run-jbossws-001of002"
         expected = job.merge(
@@ -150,7 +152,8 @@ class TestResilienceAndFuzzMerge:
         job = ResilienceCampaign(rconfig).shard_job()
         campaign = job.build()
         payloads = {
-            unit.key: campaign.run_shard_unit(unit) for unit in job.units()
+            unit.key: campaign.slice_to_obj(campaign.run_unit(unit))
+            for unit in job.units()
         }
         merged = resilience_result_to_obj(job.merge(payloads))
         assert merged == serial
@@ -167,7 +170,8 @@ class TestResilienceAndFuzzMerge:
         job = FuzzCampaign(fconfig).shard_job()
         campaign = job.build()
         payloads = {
-            unit.key: campaign.run_shard_unit(unit) for unit in job.units()
+            unit.key: campaign.slice_to_obj(campaign.run_unit(unit))
+            for unit in job.units()
         }
         merged = fuzz_result_to_obj(job.merge(payloads))
         assert merged == serial
