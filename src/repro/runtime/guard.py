@@ -21,13 +21,24 @@ any raised error into one of four buckets:
     Anything else: an unclassified exception escaping a simulator.
     This is the bucket that must stay empty — each hit is a harness
     bug, and the fuzz campaign quarantines the offending cell.
+
+A step with a deadline runs off the calling thread, on that thread's
+long-lived *runner*: one daemon thread per calling thread that takes
+steps from a queue, so a sweep of thousands of steps starts one thread,
+not one per step.  The caller waits on a per-step lock for at most the
+deadline.  A step that overruns is abandoned together with its runner,
+which exits once the step returns; the caller's next step starts a
+fresh runner, as does the first step in a forked child.
 """
 
 from __future__ import annotations
 
 import enum
+import os
+import queue
 import threading
 import time
+import weakref
 from dataclasses import dataclass, field
 
 from repro.obs.trace import current_tracer
@@ -56,8 +67,9 @@ FATAL_BUCKETS = (TriageBucket.TIMEOUT, TriageBucket.TOOL_INTERNAL)
 class GuardLimits:
     """Budgets enforced around one guarded step."""
 
-    #: Wall-clock deadline per step; ``None`` disables the watchdog
-    #: thread and runs the step inline (cheapest, used on trusted input).
+    #: Wall-clock deadline per step; ``None`` runs the step inline on
+    #: the calling thread, with no runner (cheapest, used on trusted
+    #: input).
     deadline_seconds: float = 10.0
     #: Largest description text a step is asked to process at all.
     max_input_bytes: int = 8_000_000
@@ -65,7 +77,7 @@ class GuardLimits:
     xml: XmlLimits = field(default_factory=XmlLimits)
 
 
-#: No watchdog, default parser budgets — for trusted, in-corpus input.
+#: No deadline, default parser budgets — for trusted, in-corpus input.
 INLINE_LIMITS = GuardLimits(deadline_seconds=None)
 
 
@@ -122,8 +134,10 @@ class GuardedStep:
 
     ``run`` returns a :class:`GuardVerdict`; the wrapped callable's
     return value is on ``verdict.value`` when the bucket is CLEAN.
-    KeyboardInterrupt/SystemExit still propagate — the guard contains
-    tool failures, not operator intent.
+    KeyboardInterrupt/SystemExit still propagate, with or without a
+    deadline — the guard contains tool failures, not operator intent.
+    With a deadline the callable runs on the calling thread's runner
+    thread (see the module docstring).
     """
 
     def __init__(self, name, fn, limits=None):
@@ -141,7 +155,7 @@ class GuardedStep:
 
     def run(self, *args, **kwargs):
         # The span opens and closes on the driving thread; an abandoned
-        # deadline thread never touches the tracer.
+        # step's runner never touches the tracer.
         with current_tracer().span(self.name) as span:
             started = time.perf_counter()
             deadline = self.limits.deadline_seconds
@@ -168,25 +182,68 @@ class GuardedStep:
         return GuardVerdict(step=self.name, bucket=TriageBucket.CLEAN, value=value)
 
     def _call_with_deadline(self, args, kwargs, deadline):
+        runner = getattr(_runners, "runner", None)
+        if runner is None or runner.pid != os.getpid():
+            # A forked child inherits the parent's thread-local runner
+            # but not its thread.
+            runner = _runners.runner = _Runner()
         box = []
-
-        def worker():
-            box.append(self._call(args, kwargs))
-
-        thread = threading.Thread(
-            target=worker, name=f"guard-{self.name}", daemon=True
-        )
-        thread.start()
-        thread.join(deadline)
-        if thread.is_alive() or not box:
-            # The step is abandoned in its daemon thread; nothing it
-            # computes from here on is observed.
+        done = threading.Lock()
+        done.acquire()
+        finished = False
+        try:
+            runner.inbox.put((self, args, kwargs, box, done))
+            finished = done.acquire(timeout=deadline)
+        finally:
+            if not finished:
+                # Past the deadline, or interrupted while waiting: the
+                # step is abandoned on its runner and nothing it computes
+                # from here on is observed.  The runner exits once the
+                # step returns; this thread's next step gets a fresh one.
+                del _runners.runner
+                runner.retire()
+        if not finished:
             return GuardVerdict(
                 step=self.name,
                 bucket=TriageBucket.TIMEOUT,
                 detail=f"{self.name}: exceeded {deadline:g}s wall-clock deadline",
             )
-        return box[0]
+        outcome = box[0]
+        if isinstance(outcome, BaseException):
+            raise outcome
+        return outcome
+
+
+#: Each calling thread's :class:`_Runner`.
+_runners = threading.local()
+
+
+class _Runner:
+    """A daemon thread running one calling thread's deadline-guarded steps."""
+
+    def __init__(self):
+        self.pid = os.getpid()
+        self.inbox = queue.SimpleQueue()
+        # The thread holds only the inbox.  The sentinel goes in when the
+        # step is abandoned, or when this object is collected because its
+        # calling thread ended, so the thread never outlives its use.
+        self.retire = weakref.finalize(self, self.inbox.put, None)
+        threading.Thread(
+            target=_serve, args=(self.inbox,), name="guard-runner", daemon=True
+        ).start()
+
+
+def _serve(inbox):
+    """Run ``(step, args, kwargs, box, done)`` tasks until the sentinel."""
+    while (task := inbox.get()) is not None:
+        step, args, kwargs, box, done = task
+        try:
+            box.append(step._call(args, kwargs))
+        except BaseException as exc:  # noqa: BLE001 — the caller re-raises
+            box.append(exc)
+        done.release()
+        # Hold no step's arguments or result while waiting for the next.
+        del task, step, args, kwargs, box, done
 
 
 def run_guarded(name, fn, *args, limits=None, **kwargs):

@@ -9,7 +9,7 @@ progress stream and the trace collector.
 
 The in-process :class:`~repro.runtime.guard.GuardedStep` contains the
 failures it can *see* — a classified exception, a blown budget, a slow
-step on its own thread.  It cannot pre-empt a hard crash: a
+step on its runner thread.  It cannot pre-empt a hard crash: a
 segfault-equivalent, the OOM killer, or a runaway mutant chewing the
 whole interpreter still kills a serial sweep outright.  This module
 adds the missing layer: campaign shards execute in **isolated child

@@ -1,6 +1,9 @@
 """Unit tests for the guarded lifecycle executor and its triage taxonomy."""
 
 import dataclasses
+import os
+import signal
+import threading
 import time
 
 import pytest
@@ -115,12 +118,18 @@ class TestGuardedStep:
         with pytest.raises(InputBudgetExceeded):
             step.check_input("x" * 11)
 
-    def test_keyboard_interrupt_propagates(self):
+    @pytest.mark.parametrize("exc_type", [KeyboardInterrupt, SystemExit])
+    @pytest.mark.parametrize(
+        "limits",
+        [INLINE_LIMITS, GuardLimits(deadline_seconds=2.0)],
+        ids=["inline", "deadline"],
+    )
+    def test_keyboard_interrupt_propagates(self, limits, exc_type):
         def interrupted():
-            raise KeyboardInterrupt("operator intent")
+            raise exc_type("operator intent")
 
-        with pytest.raises(KeyboardInterrupt):
-            GuardedStep("step", interrupted, limits=INLINE_LIMITS).run()
+        with pytest.raises(exc_type):
+            GuardedStep("step", interrupted, limits=limits).run()
 
     def test_detail_is_truncated(self):
         def verbose():
@@ -128,6 +137,126 @@ class TestGuardedStep:
 
         verdict = run_guarded("parse", verbose)
         assert len(verdict.detail) <= 300
+
+
+DEADLINE = GuardLimits(deadline_seconds=5.0)
+
+
+def _runner_thread():
+    return threading.current_thread()
+
+
+class TestRunner:
+    """Deadline-guarded steps run on one reused runner per calling thread."""
+
+    def test_thousand_steps_start_at_most_one_thread(self, monkeypatch):
+        starts = []
+        start = threading.Thread.start
+
+        def counting_start(thread):
+            starts.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        for index in range(1000):
+            verdict = run_guarded("step", abs, -index, limits=DEADLINE)
+            assert verdict.ok and verdict.value == index
+        assert len(starts) <= 1
+
+    def test_step_runs_off_the_calling_thread(self):
+        verdict = run_guarded("where", _runner_thread, limits=DEADLINE)
+        assert verdict.ok
+        assert verdict.value is not threading.current_thread()
+        assert verdict.value.name.startswith("guard-")
+
+    def test_nested_deadline_step_is_clean(self):
+        def outer():
+            inner = run_guarded("inner", lambda: "deep", limits=DEADLINE)
+            return inner.bucket, inner.value
+
+        verdict = run_guarded("outer", outer, limits=DEADLINE)
+        assert verdict.ok
+        assert verdict.value == (TriageBucket.CLEAN, "deep")
+
+    def test_concurrent_callers_get_their_own_runner(self):
+        # Each step waits for the other inside its runner, which only
+        # two distinct runners can satisfy.
+        barrier = threading.Barrier(2, timeout=5.0)
+
+        def meet():
+            barrier.wait()
+            return threading.get_ident()
+
+        verdicts = {}
+
+        def caller(key):
+            verdicts[key] = run_guarded("meet", meet, limits=DEADLINE)
+
+        callers = [threading.Thread(target=caller, args=(k,)) for k in "ab"]
+        for thread in callers:
+            thread.start()
+        for thread in callers:
+            thread.join(timeout=10.0)
+            assert not thread.is_alive()
+        assert all(verdict.ok for verdict in verdicts.values())
+        assert verdicts["a"].value != verdicts["b"].value
+
+    def test_timeout_replaces_the_runner_and_the_old_one_exits(self):
+        abandoned = []
+
+        def stuck():
+            abandoned.append(threading.current_thread())
+            time.sleep(1.0)
+
+        limits = GuardLimits(deadline_seconds=0.05)
+        assert run_guarded("stuck", stuck, limits=limits).bucket is (
+            TriageBucket.TIMEOUT
+        )
+        # Queued behind the abandoned step this would time out too.
+        follow_up = GuardLimits(deadline_seconds=0.5)
+        verdict = run_guarded("next", _runner_thread, limits=follow_up)
+        assert verdict.ok
+        assert verdict.value is not abandoned[0]
+        abandoned[0].join(timeout=5.0)
+        assert not abandoned[0].is_alive()
+
+    @pytest.mark.skipif(
+        not hasattr(signal, "pthread_kill")
+        or threading.current_thread() is not threading.main_thread(),
+        reason="needs SIGINT delivered to the main thread",
+    )
+    def test_interrupted_wait_abandons_the_runner(self):
+        interrupted = []
+        main = threading.main_thread().ident
+
+        def interrupt_caller():
+            interrupted.append(threading.current_thread())
+            signal.pthread_kill(main, signal.SIGINT)
+            time.sleep(1.0)
+
+        with pytest.raises(KeyboardInterrupt):
+            run_guarded("interrupt", interrupt_caller, limits=DEADLINE)
+        follow_up = GuardLimits(deadline_seconds=0.5)
+        verdict = run_guarded("next", _runner_thread, limits=follow_up)
+        assert verdict.ok
+        assert verdict.value is not interrupted[0]
+        interrupted[0].join(timeout=5.0)
+        assert not interrupted[0].is_alive()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_starts_its_own_runner(self):
+        assert run_guarded("parent", lambda: 1, limits=DEADLINE).ok
+        pid = os.fork()
+        if pid == 0:
+            try:
+                verdict = run_guarded(
+                    "child", lambda: 2, limits=GuardLimits(deadline_seconds=2.0)
+                )
+                os._exit(0 if verdict.ok and verdict.value == 2 else 1)
+            finally:
+                os._exit(2)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
 
 
 class TestGuardedLifecycle:
